@@ -15,6 +15,13 @@ values, so the scheme is monotone and bounded by the terminal data; that
 is the property that makes the discrete values converge to the viscosity
 solution as the grid refines.
 
+The coefficients enter through a table of b and sigma sigma^T for every
+action pair and node (:func:`coefficient_table`, shape (ku, kv, n)).  For
+time-independent coefficient families, which all registered ones are, the
+table is built once before the march; each step is then a few whole-array
+operations on preallocated buffers, with the lower and upper Hamiltonians
+taken as reductions over the two action axes.
+
 State dimension is one; higher-dimensional problems are accepted by the
 algebraic modules but not by this solver.
 """
@@ -33,6 +40,7 @@ __all__ = [
     "BlowupError",
     "SpatialGrid",
     "ValueField",
+    "coefficient_table",
     "cfl_max_dt",
     "solve",
     "isaacs_gap",
@@ -106,7 +114,9 @@ class ValueField:
             raise PdeError(
                 f"values must have shape {(times.size, self.grid.nodes)}, got {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        # min and max propagate NaN and reach any infinity, so this tests every
+        # entry without a boolean temporary the size of the field
+        if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise PdeError("value field entries must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
@@ -141,41 +151,52 @@ class ValueField:
         w = (t - float(times[k])) / float(times[k + 1] - times[k])
         return (1.0 - w) * lo + w * hi
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
+def coefficient_table(
+    spec: ProblemSpec, t: float, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drift b and sigma sigma^T at time t for every action pair and node.
 
-def _scan_coefficient_extremes(
-    spec: ProblemSpec, grid: SpatialGrid, time_samples: int = 5
-) -> tuple[float, float]:
-    """Max |b| and max sigma sigma^T over nodes, action pairs, sampled times."""
+    Both arrays have shape (ku, kv, n): entry [a, c, j] belongs to the
+    pair (u_a, v_c) at node xs[j].  All ku * kv * n rows go through one
+    batched drift/diffusion call; the families evaluate rows independently,
+    so each entry is bitwise what a call for that pair alone returns.
+    """
     if spec.dim != 1:
         raise ProblemError("the finite-difference solver handles state dimension 1")
-    X = grid.xs[:, None]
-    n = X.shape[0]
-    ts = np.linspace(spec.start_time, spec.horizon, time_samples)
+    au, av = spec.actions_u.array, spec.actions_v.array
+    shape = (au.shape[0], av.shape[0], xs.size)
+    X = np.broadcast_to(xs[None, None, :, None], shape + (1,)).reshape(-1, 1)
+    U = np.broadcast_to(au[:, None, None, :], shape + au.shape[1:]).reshape(-1, au.shape[1])
+    V = np.broadcast_to(av[None, :, None, :], shape + av.shape[1:]).reshape(-1, av.shape[1])
+    b = spec.drift(t, X, U, V)[:, 0].reshape(shape)
+    sig = spec.diffusion(t, X, U, V)[:, 0, :]
+    return b, np.sum(sig * sig, axis=1).reshape(shape)
+
+
+def _scan_coefficient_extremes(spec: ProblemSpec, grid: SpatialGrid) -> tuple[float, float]:
+    """Max |b| and max sigma sigma^T over nodes, action pairs, sampled times.
+
+    A time-independent family is scanned at the start time only; any other
+    at five times spread over [s, T].
+    """
+    samples = 1 if spec.coefficients.time_independent else 5
     max_b = 0.0
     max_s2 = 0.0
-    for t in ts:
-        for a in range(spec.actions_u.size):
-            U = np.broadcast_to(spec.actions_u.array[a], (n, spec.actions_u.dim))
-            for bidx in range(spec.actions_v.size):
-                V = np.broadcast_to(spec.actions_v.array[bidx], (n, spec.actions_v.dim))
-                b = spec.drift(float(t), X, U, V)[:, 0]
-                sig = spec.diffusion(float(t), X, U, V)[:, 0, :]
-                s2 = np.sum(sig * sig, axis=1)
-                max_b = max(max_b, float(np.max(np.abs(b))))
-                max_s2 = max(max_s2, float(np.max(s2)))
+    for t in np.linspace(spec.start_time, spec.horizon, samples):
+        b, s2 = coefficient_table(spec, float(t), grid.xs)
+        max_b = max(max_b, float(np.max(np.abs(b))))
+        max_s2 = max(max_s2, float(np.max(s2)))
     return max_b, max_s2
 
 
 def cfl_max_dt(spec: ProblemSpec, grid: SpatialGrid) -> float:
     """Largest stable explicit step: (1 - 1e-6) / (max|b|/dx + max(sigma^2)/dx^2).
 
-    The extremes are scanned over all grid nodes, all action pairs, and a
-    sample of times in [s, T] (the registered coefficient families are
-    time-independent, so the sample is exact for them).  A zero
-    denominator (no drift, no noise) returns the horizon length.
+    The extremes are scanned over all grid nodes and all action pairs, at
+    one time for time-independent coefficient families (exact for them) and
+    at a sample of times in [s, T] otherwise.  A zero denominator (no
+    drift, no noise) returns the horizon length.
     """
     max_b, max_s2 = _scan_coefficient_extremes(spec, grid)
     dx = grid.dx
@@ -183,34 +204,6 @@ def cfl_max_dt(spec: ProblemSpec, grid: SpatialGrid) -> float:
     if denom == 0.0:
         return spec.horizon - spec.start_time
     return CFL_SAFETY / denom
-
-
-def _hamiltonian_slice(
-    spec: ProblemSpec, t: float, grid: SpatialGrid, W: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Upwind lower/upper Hamiltonian arrays computed from slice W."""
-    dx = grid.dx
-    We = np.pad(W, 1, mode="edge")
-    forward = (We[2:] - We[1:-1]) / dx
-    backward = (We[1:-1] - We[:-2]) / dx
-    second = (We[2:] - 2.0 * We[1:-1] + We[:-2]) / dx**2
-    X = grid.xs[:, None]
-    n = X.shape[0]
-    ku, kv = spec.actions_u.size, spec.actions_v.size
-    gen = np.empty((n, ku, kv))
-    for a in range(ku):
-        U = np.broadcast_to(spec.actions_u.array[a], (n, spec.actions_u.dim))
-        for bidx in range(kv):
-            V = np.broadcast_to(spec.actions_v.array[bidx], (n, spec.actions_v.dim))
-            b = spec.drift(t, X, U, V)[:, 0]
-            sig = spec.diffusion(t, X, U, V)[:, 0, :]
-            s2 = np.sum(sig * sig, axis=1)
-            gen[:, a, bidx] = (
-                np.where(b >= 0.0, b * forward, b * backward) + 0.5 * s2 * second
-            )
-    lower = gen.min(axis=2).max(axis=1)
-    upper = gen.max(axis=1).min(axis=1)
-    return lower, upper
 
 
 def solve(
@@ -228,6 +221,9 @@ def solve(
     monotone scheme never does unless the stability bound was violated).
     The update is v(t - dt, x) = v(t, x) + dt * H(t, x, Dv(t), D2v(t)):
     coefficients, priority and differences all read the known slice.
+    The coefficient table (:func:`coefficient_table`) is built once before
+    the march when the family is time-independent, and rebuilt at every
+    step otherwise; the priority is evaluated at every step.
     """
     if hamiltonian not in ("lower", "upper", "mixed"):
         raise PdeError(f"unknown hamiltonian mode {hamiltonian!r}")
@@ -248,15 +244,52 @@ def solve(
     dt_eff = span / m
     times = spec.start_time + np.arange(m + 1) * dt_eff
     xs = grid.xs
-    W = spec.payoff_values(xs[:, None]).astype(float)
+    X = xs[:, None]
+    n = grid.nodes
+    dx = grid.dx
+    dx2 = dx**2
+    # the known slice W lives inside We, between zero-slope ghost copies
+    We = np.empty(n + 2)
+    W = We[1:-1]
+    W[:] = spec.payoff_values(X)
     lo_bound = float(W.min()) - 1e-9
     hi_bound = float(W.max()) + 1e-9
-    out = np.empty((m + 1, grid.nodes))
+    out = np.empty((m + 1, n))
     out[m] = W
-    X = xs[:, None]
+    ku, kv = spec.actions_u.size, spec.actions_v.size
+    slope = np.empty(n + 1)  # slope[j] = (We[j+1] - We[j]) / dx
+    forward, backward = slope[1:], slope[:-1]
+    second = np.empty(n)
+    gen = np.empty((ku, kv, n))
+    term = np.empty((ku, kv, n))
+    min_v = np.empty((ku, n))
+    max_u = np.empty((kv, n))
+    low = np.empty(n)
+    up = np.empty(n)
+    frozen = spec.coefficients.time_independent
     for k in range(m, 0, -1):
         t_known = float(times[k])
-        low, up = _hamiltonian_slice(spec, t_known, grid, W)
+        if k == m or not frozen:
+            b, s2 = coefficient_table(spec, t_known, xs)
+            b_plus = np.where(b >= 0.0, b, 0.0)
+            b_minus = np.where(b >= 0.0, 0.0, b)
+            half_s2 = 0.5 * s2
+        We[0] = W[0]
+        We[-1] = W[-1]
+        np.subtract(We[1:], We[:-1], out=slope)
+        slope /= dx
+        # (We[2:] - 2 We[1:-1] + We[:-2]) / dx^2 in this evaluation order, not
+        # as a difference of slopes, which would round differently
+        np.multiply(We[1:-1], 2.0, out=second)
+        np.subtract(We[2:], second, out=second)
+        second += We[:-2]
+        second /= dx2
+        # upwind generator per action pair: b+ D+W + b- D-W + (sigma^2 / 2) D2W
+        np.multiply(b_plus, forward, out=gen)
+        gen += np.multiply(b_minus, backward, out=term)
+        gen += np.multiply(half_s2, second, out=term)
+        np.maximum.reduce(np.minimum.reduce(gen, axis=1, out=min_v), axis=0, out=low)
+        np.minimum.reduce(np.maximum.reduce(gen, axis=0, out=max_u), axis=0, out=up)
         if hamiltonian == "lower":
             H = low
         elif hamiltonian == "upper":
@@ -265,7 +298,7 @@ def solve(
             p = spec.priority_values(t_known, X)
             blend = p * low + (1.0 - p) * up
             H = np.where(p == 1.0, low, np.where(p == 0.0, up, blend))
-        W = W + dt_eff * H
+        W += dt_eff * H
         if not np.all(np.isfinite(W)) or W.min() < lo_bound or W.max() > hi_bound:
             raise BlowupError(
                 f"slice at t={float(times[k - 1])} left the terminal bounds; "

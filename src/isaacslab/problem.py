@@ -106,7 +106,9 @@ class ActionSet:
 # Batch convention: X has shape (n, d), U shape (n, ku), V shape (n, kv);
 # drift returns (n, d), diffusion returns (n, d, d_prime).  Rows are
 # independent samples; broadcasting a single action over n rows is the
-# caller's job (np.broadcast_to, no copy).
+# caller's job (np.broadcast_to, no copy).  ``time_independent`` declares
+# that drift and diffusion ignore t, so callers may evaluate them once for
+# every time (the explicit PDE march does).
 
 
 class _ConstantCoefficients:
@@ -114,6 +116,7 @@ class _ConstantCoefficients:
 
     name = "constant"
     state_independent = True
+    time_independent = True
 
     @staticmethod
     def param_count(d: int, d_prime: int) -> int:
@@ -151,6 +154,7 @@ class _AffineCoefficients:
 
     name = "affine"
     state_independent = False
+    time_independent = True
 
     @staticmethod
     def param_count(d: int, d_prime: int) -> int:
@@ -192,6 +196,7 @@ class _BilinearCoefficients:
 
     name = "bilinear"
     state_independent = True
+    time_independent = True
 
     @staticmethod
     def param_count(d: int, d_prime: int) -> int:
@@ -266,6 +271,11 @@ class CoefficientSpec:
     @property
     def state_independent(self) -> bool:
         return self._fam.state_independent
+
+    @property
+    def time_independent(self) -> bool:
+        """True when drift and diffusion ignore ``t``, so one evaluation serves every time."""
+        return self._fam.time_independent
 
     def drift(self, t: float, X: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         return self._fam.drift(

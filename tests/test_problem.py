@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import SQRT2, bilinear_problem, singleton_problem
+from isaacslab import problem
 from isaacslab.problem import (
     ActionSet,
     CoefficientSpec,
@@ -94,6 +95,25 @@ def test_state_independent_families_bitwise():
     b1 = spec.drift(0.0, np.array([[0.0]]), U, V)
     b2 = spec.drift(0.0, np.array([[3.7]]), U, V)
     assert np.array_equal(b1, b2)
+
+
+@pytest.mark.parametrize("family", coefficient_family_names())
+def test_time_independent_flag_matches_behaviour(family):
+    # a family that declares time independence has its coefficients
+    # evaluated once by the PDE march, so t = 0 and t = T must agree bitwise
+    rng = np.random.default_rng(seed)
+    d = d_prime = 2
+    count = problem._COEFFICIENT_FAMILIES[family].param_count(d, d_prime)
+    coeff = CoefficientSpec(family, rng.uniform(-2.0, 2.0, count), dim=d, noise_dim=d_prime)
+    assert isinstance(coeff.time_independent, bool)
+    if not coeff.time_independent:
+        return
+    X = rng.normal(0.0, 5.0, (64, d))
+    U = rng.uniform(-1.0, 1.0, (64, 2))
+    V = rng.uniform(-1.0, 1.0, (64, 2))
+    horizon = 0.5
+    assert np.array_equal(coeff.drift(0.0, X, U, V), coeff.drift(horizon, X, U, V))
+    assert np.array_equal(coeff.diffusion(0.0, X, U, V), coeff.diffusion(horizon, X, U, V))
 
 
 @pytest.mark.parametrize(
