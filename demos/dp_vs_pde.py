@@ -17,10 +17,12 @@ import numpy as np
 from isaacslab import (
     ActionSet,
     CoefficientSpec,
+    MarkSequence,
     PayoffSpec,
     PrioritySpec,
     ProblemSpec,
     SpatialGrid,
+    SubGrid,
     build_lattice,
     cfl_max_dt,
     dp_value_deterministic,
@@ -67,10 +69,18 @@ for n in (25, 50, 100, 200):
     print(f"  {n:3d}  {block:5d}   {rand_gap:.4e}  {det_gap:.4e}   {elapsed:7.2f}")
 print()
 
-print("the two one-sided lattice values bracket the blend at every node:")
+print("the one-sided lattice values bracket the blend at every node and slice:")
 n = 100
 partition = make_uniform_partition(0.0, spec.horizon, n)
 lattice = build_lattice(spec, grid, partition)
-tables = dp_value_random(spec, partition, lattice)
-print(f"  max(v_minus - v_plus) over all slices = {tables.max_order_violation:.2e}")
-print(f"  v_minus(0, 0) = {tables.value_at_start(0.0):+.6f}")
+mixed = dp_value_random(spec, partition, lattice).value.values
+# mark 1 in every interval is the p == 1 (lower) chain, mark 0 the p == 0 (upper) one
+whole = SubGrid((0, n))
+lower = dp_value_deterministic(spec, partition, MarkSequence((1,) * n), whole, lattice)
+upper = dp_value_deterministic(spec, partition, MarkSequence((0,) * n), whole, lattice)
+lower, upper = lower.value.values, upper.value.values
+print(f"  min(mixed - lower) over all slices = {np.min(mixed - lower):+.2e}")
+print(f"  min(upper - mixed) over all slices = {np.min(upper - mixed):+.2e}")
+print(f"  max(upper - lower) on |x| <= 2     = {np.max(upper[:, window] - lower[:, window]):.4e}")
+print(f"  at (t=0, x=0): lower {lower[0, grid.nodes // 2]:+.6f}, "
+      f"mixed {mixed[0, grid.nodes // 2]:+.6f}, upper {upper[0, grid.nodes // 2]:+.6f}")

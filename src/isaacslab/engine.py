@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .pde import SpatialGrid, ValueField
+from .pde import SpatialGrid, ValueField, coefficient_table
 from .problem import ProblemError, ProblemSpec
 from .schedule import MarkSequence, Partition, ScheduleError, SubGrid
+from .static_game import mix
 
 __all__ = [
     "EngineError",
@@ -136,26 +137,30 @@ class TransitionModel:
     def moment_errors(self, spec: ProblemSpec) -> tuple[float, float]:
         """Worst absolute error of lattice mean and variance vs b dt and sigma^2 dt."""
         xs = self.grid.xs
-        n = xs.size
         w = self.quad_weights
         err_mean = 0.0
         err_var = 0.0
-        for k in range(self.partition.intervals):
-            t = float(self.partition.times[k])
-            dt = float(self.partition.steps[k])
-            for a in range(spec.actions_u.size):
-                U = np.broadcast_to(spec.actions_u.array[a], (n, spec.actions_u.dim))
-                for bidx in range(spec.actions_v.size):
-                    V = np.broadcast_to(spec.actions_v.array[bidx], (n, spec.actions_v.dim))
-                    b = spec.drift(t, xs[:, None], U, V)[:, 0]
-                    sig = spec.diffusion(t, xs[:, None], U, V)[:, 0, :]
-                    s2 = np.sum(sig * sig, axis=1)
-                    succ = self.successors[k, :, a, bidx, :]
-                    mean = succ @ w
-                    var = ((succ - mean[:, None]) ** 2) @ w
-                    err_mean = max(err_mean, float(np.max(np.abs(mean - (xs + b * dt)))))
-                    err_var = max(err_var, float(np.max(np.abs(var - s2 * dt))))
+        for k, dt, b, s2 in _interval_tables(spec, xs, self.partition):
+            succ = self.successors[k]
+            mean = succ @ w
+            var = ((succ - mean[..., None]) ** 2) @ w
+            err_mean = max(err_mean, float(np.max(np.abs(mean - (xs[:, None, None] + b * dt)))))
+            err_var = max(err_var, float(np.max(np.abs(var - s2 * dt))))
         return err_mean, err_var
+
+
+def _interval_tables(spec: ProblemSpec, xs: np.ndarray, partition: Partition):
+    """Yield (k, dt_k, b, sigma^2) for each interval k, tables laid out (n, ku, kv).
+
+    The table is built once for a time-independent coefficient family and
+    at each t_k otherwise.
+    """
+    frozen = spec.coefficients.time_independent
+    for k, dt in enumerate(partition.steps):
+        if k == 0 or not frozen:
+            b, s2 = coefficient_table(spec, float(partition.times[k]), xs)
+            b, s2 = b.transpose(2, 0, 1), s2.transpose(2, 0, 1)
+        yield k, float(dt), b, s2
 
 
 def _gauss_hermite_unit(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,22 +190,10 @@ def build_lattice(
         raise EngineError("partition must span [s, T] with s >= 0 and end at the horizon")
     zeta, w = _gauss_hermite_unit(quad_points)
     xs = grid.xs
-    n = xs.size
     ku, kv = spec.actions_u.size, spec.actions_v.size
-    succ = np.empty((partition.intervals, n, ku, kv, quad_points))
-    for k in range(partition.intervals):
-        t = float(partition.times[k])
-        dt = float(partition.steps[k])
-        for a in range(ku):
-            U = np.broadcast_to(spec.actions_u.array[a], (n, spec.actions_u.dim))
-            for bidx in range(kv):
-                V = np.broadcast_to(spec.actions_v.array[bidx], (n, spec.actions_v.dim))
-                b = spec.drift(t, xs[:, None], U, V)[:, 0]
-                sig = spec.diffusion(t, xs[:, None], U, V)[:, 0, :]
-                s_eff = np.sqrt(np.sum(sig * sig, axis=1))
-                succ[k, :, a, bidx, :] = (
-                    xs[:, None] + b[:, None] * dt + s_eff[:, None] * np.sqrt(dt) * zeta
-                )
+    succ = np.empty((partition.intervals, xs.size, ku, kv, quad_points))
+    for k, dt, b, s2 in _interval_tables(spec, xs, partition):
+        succ[k] = xs[:, None, None, None] + b[..., None] * dt + np.sqrt(s2)[..., None] * np.sqrt(dt) * zeta
     protrusion = max(
         float(grid.lower - succ.min()), float(succ.max() - grid.upper), 0.0
     )
@@ -229,9 +222,12 @@ class _MarkovTable:
     apply until the next start.  ``plain`` is (rows, nodes) of own action
     indices for leading; ``counter`` is (rows, nodes, opponent actions)
     of own action indices for responding.
-    """
 
-    needs_history = False
+    Every strategy answers ``plain_actions(k, nodes, prev)`` and
+    ``counter_actions(k, nodes, prev, opp)``, where ``prev`` holds each
+    path's node index at the previous interval (``None`` at k = 0); a
+    Markov table ignores it.
+    """
 
     def __init__(self, grid: SpatialGrid, starts, plain, counter):
         starts = tuple(int(s) for s in starts)
@@ -261,11 +257,11 @@ class _MarkovTable:
             raise EngineError(f"interval {k} precedes the first strategy row")
         return r
 
-    def plain_actions(self, k: int, nodes: np.ndarray, history) -> np.ndarray:
+    def plain_actions(self, k: int, nodes: np.ndarray, prev) -> np.ndarray:
         return self.plain[self._row(k), nodes]
 
     def counter_actions(
-        self, k: int, nodes: np.ndarray, history, opp: np.ndarray
+        self, k: int, nodes: np.ndarray, prev, opp: np.ndarray
     ) -> np.ndarray:
         return self.counter[self._row(k), nodes, opp]
 
@@ -294,10 +290,9 @@ class _HashFeedback:
 
     Deterministic given the seed; serves as an arbitrary feedback
     strategy that reacts to the discretized path, not only the current
-    node.
+    node.  The last node is ``prev``, the node of the previous interval,
+    taken as 0 at the first interval.
     """
-
-    needs_history = True
 
     def __init__(self, grid: SpatialGrid, n_actions: int, seed: int):
         if n_actions < 1:
@@ -306,8 +301,8 @@ class _HashFeedback:
         self.n_actions = int(n_actions)
         self.seed = int(seed)
 
-    def _pick(self, k: int, nodes: np.ndarray, history, opp: np.ndarray | None) -> np.ndarray:
-        last = history[-1] if history else np.zeros_like(nodes)
+    def _pick(self, k: int, nodes: np.ndarray, prev, opp: np.ndarray | None) -> np.ndarray:
+        last = np.zeros_like(nodes) if prev is None else prev
         parts = [
             np.full_like(nodes, self.seed),
             np.full_like(nodes, k),
@@ -320,13 +315,13 @@ class _HashFeedback:
             self.n_actions
         )).astype(int)
 
-    def plain_actions(self, k: int, nodes: np.ndarray, history) -> np.ndarray:
-        return self._pick(k, nodes, history, None)
+    def plain_actions(self, k: int, nodes: np.ndarray, prev) -> np.ndarray:
+        return self._pick(k, nodes, prev, None)
 
     def counter_actions(
-        self, k: int, nodes: np.ndarray, history, opp: np.ndarray
+        self, k: int, nodes: np.ndarray, prev, opp: np.ndarray
     ) -> np.ndarray:
-        return self._pick(k, nodes, history, opp)
+        return self._pick(k, nodes, prev, opp)
 
 
 class HashFeedbackStrategyU(_HashFeedback):
@@ -374,24 +369,27 @@ def perturbed_strategy(base: _MarkovTable, flip_fraction: float, seed: int):
 
 @dataclass(frozen=True)
 class GameValueTables:
-    """Backward-induction output: value fields plus saddle strategy tables.
+    """Backward-induction output: one value field plus saddle strategy tables.
 
     The per-interval game has an exact saddle point (the prioritized
-    one-period game's sup-inf and inf-sup coincide), so ``v_minus`` and
-    ``v_plus`` are equal by construction; they are kept as a pair because
-    the ordering ``v_minus <= v_plus`` is the invariant every run is
-    audited against, and ``max_order_violation`` records the largest
-    pointwise violation of lower <= upper seen in any local game.
+    one-period game's sup-inf and inf-sup coincide), so the lower and upper
+    values of the discrete game are one field, stored once as ``v_minus``.
+    ``max_order_violation`` records the largest pointwise violation of
+    lower <= upper seen in any local game.
     """
 
     mode: str
     grid: SpatialGrid
     partition: Partition
     v_minus: ValueField
-    v_plus: ValueField
     strategy_u: MarkovStrategyU
     strategy_v: MarkovStrategyV
     max_order_violation: float
+
+    @property
+    def v_plus(self) -> ValueField:
+        """The upper value: the same field as ``v_minus``, not a copy."""
+        return self.v_minus
 
     @property
     def value(self) -> ValueField:
@@ -457,15 +455,11 @@ def _tables(
     values, u_plain, u_counter, v_plain, v_counter, worst = _dp_sweep(
         spec, lattice, node_rule, starts
     )
-    fld = ValueField(grid=lattice.grid, times=lattice.partition.times, values=values)
     return GameValueTables(
         mode=mode,
         grid=lattice.grid,
         partition=lattice.partition,
-        v_minus=fld,
-        v_plus=ValueField(
-            grid=lattice.grid, times=lattice.partition.times, values=values.copy()
-        ),
+        v_minus=ValueField(grid=lattice.grid, times=lattice.partition.times, values=values),
         strategy_u=MarkovStrategyU(lattice.grid, starts, u_plain, u_counter),
         strategy_v=MarkovStrategyV(lattice.grid, starts, v_plain, v_counter),
         max_order_violation=worst,
@@ -486,9 +480,7 @@ def dp_value_random(
     xs = lattice.grid.xs[:, None]
 
     def node_rule(k: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-        p = spec.priority_values(float(partition.times[k]), xs)
-        blend = p * lower + (1.0 - p) * upper
-        return np.where(p == 1.0, lower, np.where(p == 0.0, upper, blend))
+        return mix(spec.priority_values(float(partition.times[k]), xs), lower, upper)
 
     starts = tuple(range(partition.intervals))
     return _tables("random", spec, lattice, node_rule, starts)
@@ -598,7 +590,9 @@ def simulate(
     second (mark or coin; a coin is drawn every interval regardless of
     the priority value), let the second mover's counter map answer the
     leader's plain action, then freeze both actions and take Euler
-    sub-steps.  The first ``record`` paths keep a full audit trail.
+    sub-steps.  Each strategy sees the interval index, the current nodes
+    and the previous interval's nodes (``None`` at k = 0).  The first
+    ``record`` paths keep a full audit trail.
     """
     if spec.dim != 1:
         raise EngineError("the simulator handles state dimension 1")
@@ -627,7 +621,7 @@ def simulate(
     n = partition.intervals
     d_prime = spec.noise_dim
     x = np.full(paths, spec.start_state[0], dtype=float)
-    history: list[np.ndarray] = []
+    prev = None
     rec = record
     if rec:
         rec_states = np.empty((n + 1, rec))
@@ -651,10 +645,10 @@ def simulate(
         else:
             heads = np.full(paths, bool(xi[k]))
             coins = None
-        u_plain = strat_u.plain_actions(k, nodes, history)
-        v_plain = strat_v.plain_actions(k, nodes, history)
-        v_resp = strat_v.counter_actions(k, nodes, history, u_plain)
-        u_resp = strat_u.counter_actions(k, nodes, history, v_plain)
+        u_plain = strat_u.plain_actions(k, nodes, prev)
+        v_plain = strat_v.plain_actions(k, nodes, prev)
+        v_resp = strat_v.counter_actions(k, nodes, prev, u_plain)
+        u_resp = strat_u.counter_actions(k, nodes, prev, v_plain)
         iu = np.where(heads, u_plain, u_resp)
         iv = np.where(heads, v_resp, v_plain)
         U = spec.actions_u.array[iu]
@@ -669,7 +663,7 @@ def simulate(
             if rec:
                 rec_sub[k * substeps + ss + 1] = x[:rec]
                 rec_noise[k, ss] = dW[:rec]
-        history.append(nodes)
+        prev = nodes
         if rec:
             rec_states[k + 1] = x[:rec]
             rec_u[k] = iu[:rec]

@@ -10,6 +10,10 @@ and the priority-weighted Hamiltonian is p(t, x) * lower + (1 - p) * upper.
 Lower <= upper always (exchanging max and min), so the weighted one is
 sandwiched between them.  The action grids are finite, which turns each
 evaluation into a small matrix game handled by :mod:`isaacslab.static_game`.
+
+Drift and diffusion for all action pairs come from one
+:meth:`isaacslab.problem.ProblemSpec.coefficient_table` call, and the
+p-blend is :func:`isaacslab.static_game.mix`.
 """
 
 from __future__ import annotations
@@ -78,26 +82,19 @@ def generator_tensor(
     """Generator values for every action pair at a batch of states.
 
     X: (n, d), grads: (n, d), hesses: (n, d, d).  Returns (n, ku, kv);
-    entry [i, a, b] is L at state i under u-action a and v-action b.
+    entry [i, a, b] is L at state i under u-action a and v-action b.  The
+    coefficients come from one :meth:`ProblemSpec.coefficient_table` call.
     """
     X = np.asarray(X, dtype=float)
     grads = np.asarray(grads, dtype=float)
     hesses = np.asarray(hesses, dtype=float)
-    n = X.shape[0]
-    ku, kv = spec.actions_u.size, spec.actions_v.size
-    out = np.empty((n, ku, kv))
-    for a in range(ku):
-        U = np.broadcast_to(spec.actions_u.array[a], (n, spec.actions_u.dim))
-        for b in range(kv):
-            V = np.broadcast_to(spec.actions_v.array[b], (n, spec.actions_v.dim))
-            bvec = spec.drift(t, X, U, V)
-            sig = spec.diffusion(t, X, U, V)
-            # 0.5 * tr(sigma sigma^T hess) = 0.5 * sum_{i,j} (sigma sigma^T)_{ij} hess_{ij}
-            a2 = np.einsum("nik,njk->nij", sig, sig)
-            out[:, a, b] = np.einsum("ni,ni->n", bvec, grads) + 0.5 * np.einsum(
-                "nij,nij->n", a2, hesses
-            )
-    return out
+    bvec, sig = spec.coefficient_table(t, X)
+    # 0.5 * tr(sigma sigma^T hess) = 0.5 * sum_{i,j} (sigma sigma^T)_{ij} hess_{ij}
+    a2 = np.einsum("...ik,...jk->...ij", sig, sig)
+    out = np.einsum("...i,...i->...", bvec, grads) + 0.5 * np.einsum(
+        "...ij,...ij->...", a2, hesses
+    )
+    return out.transpose(2, 0, 1)
 
 
 def generator(spec: ProblemSpec, state: DifferentialState, u, v) -> float:
@@ -150,14 +147,12 @@ def hamiltonian_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (lower, upper, mixed) over a batch of states.
 
-    The mixed array uses the same exact-endpoint rule as :func:`mix`:
-    where p == 1 it is the lower array entry itself, where p == 0 the
-    upper entry, bitwise.
+    The mixed array comes from :func:`isaacslab.static_game.mix`: where
+    p == 1 it is the lower array entry itself, where p == 0 the upper
+    entry, bitwise.
     """
     tens = generator_tensor(spec, t, X, grads, hesses)
     lower = tens.min(axis=2).max(axis=1)
     upper = tens.max(axis=1).min(axis=1)
     p = spec.priority_values(t, np.asarray(X, dtype=float))
-    blend = p * lower + (1.0 - p) * upper
-    mixed = np.where(p == 1.0, lower, np.where(p == 0.0, upper, blend))
-    return lower, upper, mixed
+    return lower, upper, mix(p, lower, upper)

@@ -16,11 +16,14 @@ is the property that makes the discrete values converge to the viscosity
 solution as the grid refines.
 
 The coefficients enter through a table of b and sigma sigma^T for every
-action pair and node (:func:`coefficient_table`, shape (ku, kv, n)).  For
-time-independent coefficient families, which all registered ones are, the
-table is built once before the march; each step is then a few whole-array
-operations on preallocated buffers, with the lower and upper Hamiltonians
-taken as reductions over the two action axes.
+action pair and node (:func:`coefficient_table`, shape (ku, kv, n)), the
+one-dimensional view of :meth:`isaacslab.problem.ProblemSpec.coefficient_table`,
+which evaluates drift and diffusion over all pairs in one call.  The lattice
+engine reads the same view.  For time-independent coefficient families,
+which all registered ones are, the table is built once before the march;
+each step is then a few whole-array operations on preallocated buffers,
+with the lower and upper Hamiltonians taken as reductions over the two
+action axes and blended by :func:`isaacslab.static_game.mix`.
 
 State dimension is one; higher-dimensional problems are accepted by the
 algebraic modules but not by this solver.
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ProblemError, ProblemSpec
+from .static_game import mix
 
 __all__ = [
     "PdeError",
@@ -157,21 +161,15 @@ def coefficient_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drift b and sigma sigma^T at time t for every action pair and node.
 
-    Both arrays have shape (ku, kv, n): entry [a, c, j] belongs to the
-    pair (u_a, v_c) at node xs[j].  All ku * kv * n rows go through one
-    batched drift/diffusion call; the families evaluate rows independently,
-    so each entry is bitwise what a call for that pair alone returns.
+    The one-dimensional view of :meth:`ProblemSpec.coefficient_table`:
+    both arrays have shape (ku, kv, n), and entry [a, c, j] belongs to the
+    pair (u_a, v_c) at node xs[j].
     """
     if spec.dim != 1:
         raise ProblemError("the finite-difference solver handles state dimension 1")
-    au, av = spec.actions_u.array, spec.actions_v.array
-    shape = (au.shape[0], av.shape[0], xs.size)
-    X = np.broadcast_to(xs[None, None, :, None], shape + (1,)).reshape(-1, 1)
-    U = np.broadcast_to(au[:, None, None, :], shape + au.shape[1:]).reshape(-1, au.shape[1])
-    V = np.broadcast_to(av[None, :, None, :], shape + av.shape[1:]).reshape(-1, av.shape[1])
-    b = spec.drift(t, X, U, V)[:, 0].reshape(shape)
-    sig = spec.diffusion(t, X, U, V)[:, 0, :]
-    return b, np.sum(sig * sig, axis=1).reshape(shape)
+    b, sig = spec.coefficient_table(t, xs[:, None])
+    sig = sig[..., 0, :]
+    return b[..., 0], np.sum(sig * sig, axis=-1)
 
 
 def _scan_coefficient_extremes(spec: ProblemSpec, grid: SpatialGrid) -> tuple[float, float]:
@@ -296,8 +294,7 @@ def solve(
             H = up
         else:
             p = spec.priority_values(t_known, X)
-            blend = p * low + (1.0 - p) * up
-            H = np.where(p == 1.0, low, np.where(p == 0.0, up, blend))
+            H = mix(p, low, up)
         W += dt_eff * H
         if not np.all(np.isfinite(W)) or W.min() < lo_bound or W.max() > hi_bound:
             raise BlowupError(

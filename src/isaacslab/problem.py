@@ -559,10 +559,6 @@ class ProblemSpec:
     def noise_dim(self) -> int:
         return self.coefficients.noise_dim
 
-    @property
-    def start_state_array(self) -> np.ndarray:
-        return np.asarray(self.start_state, dtype=float)
-
     def _check_time(self, t: float) -> float:
         if not 0.0 <= t <= self.horizon:
             raise ProblemError(f"time {t} outside [0, T] with T={self.horizon}")
@@ -574,6 +570,28 @@ class ProblemSpec:
 
     def diffusion(self, t, X, U, V) -> np.ndarray:
         return self.coefficients.diffusion(t, X, U, V)
+
+    def coefficient_table(self, t: float, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Drift and diffusion at time t for every action pair and state.
+
+        X has shape (n, d).  Returns b with shape (ku, kv, n, d) and sigma
+        with shape (ku, kv, n, d, d'); entry [a, c, i] belongs to the pair
+        (u_a, v_c) at state X[i].  The families evaluate rows independently,
+        so one batched call gives each entry bitwise as a call for that pair
+        alone would.  Callers reduce sigma themselves: np.sum and np.einsum
+        round sigma sigma^T differently once d' >= 3.
+        """
+        X = np.asarray(X, dtype=float)
+        au, av = self.actions_u.array, self.actions_v.array
+        shape = (au.shape[0], av.shape[0], X.shape[0])
+
+        def rows(arr: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(arr, shape + arr.shape[-1:]).reshape(-1, arr.shape[-1])
+
+        XX, U, V = rows(X), rows(au[:, None, None, :]), rows(av[None, :, None, :])
+        b = self.drift(t, XX, U, V).reshape(shape + (self.dim,))
+        sig = self.diffusion(t, XX, U, V).reshape(shape + (self.dim, self.noise_dim))
+        return b, sig
 
     def payoff_values(self, X) -> np.ndarray:
         return self.payoff.value(X)

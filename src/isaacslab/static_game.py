@@ -18,7 +18,7 @@ of size at most four.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,40 +42,33 @@ class StaticGameError(ValueError):
     """Malformed matrix, priority, or choice passed to a one-period game."""
 
 
-def _check_prio(prio: float) -> float:
-    prio = float(prio)
-    if not 0.0 <= prio <= 1.0:
+def _check_prio(prio):
+    """``prio`` as a float array, rejected unless every entry lies in [0, 1]."""
+    p = np.asarray(prio, dtype=float)
+    # NaN fails both comparisons; the initial values let an empty array pass
+    if not (p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0):
         raise StaticGameError(f"priority must lie in [0, 1], got {prio}")
-    return prio
+    return p
 
 
-def mix(prio: float, lower: float, upper: float) -> float:
-    """Priority-weighted combination with exact endpoints.
+def mix(prio, lower, upper):
+    """Priority-weighted combination with exact endpoints, for scalars or arrays.
 
-    At prio == 1.0 returns ``lower`` itself and at prio == 0.0 returns
-    ``upper`` itself, bitwise, so degenerate priorities reproduce the
-    one-sided games with no floating-point residue.
+    Where prio == 1.0 the result is ``lower`` itself and where prio == 0.0
+    it is ``upper`` itself, bitwise, so degenerate priorities reproduce
+    the one-sided games with no floating-point residue.  Arrays broadcast
+    against each other; an all-scalar call returns a float.
     """
-    prio = _check_prio(prio)
-    if prio == 1.0:
-        return lower
-    if prio == 0.0:
-        return upper
-    return prio * lower + (1.0 - prio) * upper
+    p = _check_prio(prio)
+    out = np.where(p == 1.0, lower, np.where(p == 0.0, upper, p * lower + (1.0 - p) * upper))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class LocalGameMatrix:
-    """Payoff table f(u, v); u maximizes over rows, v minimizes over columns.
-
-    ``u_labels`` / ``v_labels`` carry the action indices the rows and
-    columns refer to in some enclosing problem; they default to
-    0..m-1 / 0..n-1.
-    """
+    """Payoff table f(u, v); u maximizes over rows, v minimizes over columns."""
 
     values: np.ndarray
-    u_labels: tuple[int, ...] = field(default=())
-    v_labels: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -84,13 +77,6 @@ class LocalGameMatrix:
         if not np.all(np.isfinite(vals)):
             raise StaticGameError("payoff matrix entries must be finite")
         object.__setattr__(self, "values", vals)
-        m, n = vals.shape
-        u_labels = self.u_labels or tuple(range(m))
-        v_labels = self.v_labels or tuple(range(n))
-        if len(u_labels) != m or len(v_labels) != n:
-            raise StaticGameError("label lengths must match matrix shape")
-        object.__setattr__(self, "u_labels", tuple(int(i) for i in u_labels))
-        object.__setattr__(self, "v_labels", tuple(int(j) for j in v_labels))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -158,7 +144,7 @@ def saddle(f: LocalGameMatrix | np.ndarray, prio: float) -> StaticSaddle:
         lower=lo,
         upper=hi,
         mixed=mix(prio, lo, hi),
-        prio=_check_prio(prio),
+        prio=float(_check_prio(prio)),
         u_star=u_star,
         beta_star=beta_star,
         v_star=v_star,
@@ -185,7 +171,7 @@ def representation_residual(
     action sets of size at most four (the map count grows as n**m).
     """
     mat = _as_matrix(f)
-    prio = _check_prio(prio)
+    prio = float(_check_prio(prio))
     m, n = mat.shape
     if m > MAX_ENUMERABLE_ACTIONS or n > MAX_ENUMERABLE_ACTIONS:
         raise StaticGameError(
@@ -246,7 +232,7 @@ def play_one_period(
     i.e. the order of moves is deterministic and no draw is consumed.
     """
     mat = _as_matrix(f)
-    prio = _check_prio(prio)
+    prio = float(_check_prio(prio))
     m, n = mat.shape
     u_plain, alpha = _check_choice("u_choice", u_choice, m, n)
     v_plain, beta = _check_choice("v_choice", v_choice, n, m)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from isaacslab.engine import dp_value_deterministic
 from isaacslab.problem import (
     ActionSet,
     CoefficientSpec,
@@ -9,6 +10,7 @@ from isaacslab.problem import (
     PrioritySpec,
     ProblemSpec,
 )
+from isaacslab.schedule import MarkSequence, SubGrid
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -48,3 +50,12 @@ def singleton_problem(
         actions_v=ActionSet.from_values((0.0,)),
         horizon=horizon,
     )
+
+
+def one_sided_chains(spec, partition, lattice):
+    """Value arrays of the all-ones (p == 1, lower) and all-zeros (p == 0, upper) mark chains."""
+    n = partition.intervals
+    whole = SubGrid((0, n))
+    lower = dp_value_deterministic(spec, partition, MarkSequence((1,) * n), whole, lattice)
+    upper = dp_value_deterministic(spec, partition, MarkSequence((0,) * n), whole, lattice)
+    return lower.value.values, upper.value.values

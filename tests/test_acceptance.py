@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import SQRT2, bilinear_problem, singleton_problem
+from helpers import SQRT2, bilinear_problem, one_sided_chains, singleton_problem
 from isaacslab import cli, pde, static_game
 from isaacslab.config import load_config
 from isaacslab.engine import (
@@ -45,11 +45,13 @@ def convergence_data():
     """Random- and deterministic-mode DP values vs fine PDE references.
 
     One fixed reference per benchmark priority; backward induction on the
-    same grid at every refinement level; sup gaps on |x| <= 2.
+    same grid at every refinement level; sup gaps on |x| <= 2.  At each
+    level the p == 1 and p == 0 mark chains on the same lattice give the
+    one-sided values the blended ones are ordered against.
     """
     t0 = time.monotonic()
     window = np.abs(BENCH_GRID.xs) <= 2.0
-    data = {"order_violations": [], "pair_gaps": []}
+    data = {"order_violations": [], "order_margins": [], "isaacs_gaps": []}
     for label, family, params in [
         ("const", "constant", (0.5,)),
         ("linear", "linear_time", (0.3, 0.4)),
@@ -66,15 +68,21 @@ def convergence_data():
                 "n": n,
                 "rand_gap": float(np.max(np.abs(rand.value.initial_slice[window] - ref0))),
             }
-            data["order_violations"].append(rand.max_order_violation)
-            data["pair_gaps"].append(float(np.max(rand.v_minus.values - rand.v_plus.values)))
+            mixed = [rand]
             if label == "const":
                 block = max(1, int(round(np.sqrt(n))))
                 marks, subgrid = make_marks(part, prob.priority, block)
                 det = dp_value_deterministic(prob, part, marks, subgrid, lattice)
                 row["det_gap"] = float(np.max(np.abs(det.value.initial_slice[window] - ref0)))
-                data["order_violations"].append(det.max_order_violation)
-                data["pair_gaps"].append(float(np.max(det.v_minus.values - det.v_plus.values)))
+                mixed.append(det)
+            lower, upper = one_sided_chains(prob, part, lattice)
+            data["isaacs_gaps"].append(float(np.max(upper[:, window] - lower[:, window])))
+            for tables in mixed:
+                data["order_violations"].append(tables.max_order_violation)
+                data["order_margins"].append(
+                    min(float(np.min(tables.value.values - lower)),
+                        float(np.min(upper - tables.value.values)))
+                )
             rows.append(row)
         data[label] = rows
     data["elapsed"] = time.monotonic() - t0
@@ -179,9 +187,11 @@ def test_criterion_5_deterministic_mark_convergence(convergence_data):
 
 def test_criterion_6_value_ordering(convergence_data, benchmark_tables):
     assert max(convergence_data["order_violations"]) <= 1e-9
-    assert max(convergence_data["pair_gaps"]) <= 1e-9
+    # lower <= mixed <= upper at every node and slice, against one-sided
+    # chains that differ, so the check can fail
+    assert min(convergence_data["order_margins"]) >= -1e-12
+    assert min(convergence_data["isaacs_gaps"]) > 1e-3
     prob, _, tables = benchmark_tables
-    assert np.all(tables.v_minus.values <= tables.v_plus.values + 1e-9)
     assert tables.max_order_violation <= 1e-9
     grid = SpatialGrid(-8.0, 8.0, 641)
     dt = pde.cfl_max_dt(prob, grid)

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import SQRT2, bilinear_problem, singleton_problem
-from isaacslab import engine, pde
+from helpers import SQRT2, bilinear_problem, one_sided_chains, singleton_problem
+from isaacslab import engine, pde, problem
 from isaacslab.engine import (
     CoinSource,
     DeterministicMode,
@@ -24,8 +24,8 @@ from isaacslab.engine import (
     simulate,
 )
 from isaacslab.pde import SpatialGrid
-from isaacslab.problem import ActionSet
-from isaacslab.schedule import MarkSequence, SubGrid, make_uniform_partition
+from isaacslab.problem import ActionSet, CoefficientSpec, PayoffSpec, PrioritySpec, ProblemSpec
+from isaacslab.schedule import MarkSequence, Partition, SubGrid, make_uniform_partition
 
 seed = 0
 
@@ -166,16 +166,23 @@ def test_degenerate_priority_matches_marks(p, mark):
         prob, part, MarkSequence((mark,) * 20), SubGrid((0, 5, 10, 15, 20)), lat
     )
     assert np.array_equal(rand.v_minus.values, det.v_minus.values)
-    assert np.array_equal(rand.v_plus.values, det.v_plus.values)
 
 
 def test_value_tables_ordering():
     prob = bilinear_problem(prio_family="linear_time", prio_params=(0.3, 0.4))
     grid = SpatialGrid(-6.0, 6.0, 161)
     part = make_uniform_partition(0.0, 0.5, 20)
-    tables = dp_value_random(prob, part, build_lattice(prob, grid, part))
+    lattice = build_lattice(prob, grid, part)
+    tables = dp_value_random(prob, part, lattice)
     assert tables.mode == "random"
-    assert np.all(tables.v_minus.values <= tables.v_plus.values + 1e-9)
+    assert tables.v_plus is tables.v_minus
+    # the p == 1 and p == 0 chains on the same lattice bracket the blend
+    lower, upper = one_sided_chains(prob, part, lattice)
+    mixed = tables.value.values
+    assert np.all(lower <= mixed + 1e-12)
+    assert np.all(mixed <= upper + 1e-12)
+    window = np.abs(grid.xs) <= 2.0
+    assert float(np.max(upper[:, window] - lower[:, window])) > 1e-3
     assert tables.max_order_violation <= 1e-9
     assert tables.value_at_start(0.3) == tables.value.value_at(0.0, 0.3)
     # saddle strategies cover every interval
@@ -348,18 +355,167 @@ def test_markov_strategy_validation():
 def test_hash_feedback_uses_history():
     grid = SpatialGrid(-6.0, 6.0, 121)
     strat = HashFeedbackStrategyU(grid, 2, 9)
-    assert strat.needs_history
     nodes = np.arange(60)
-    hist_a = [np.full(60, 3)]
-    hist_b = [np.full(60, 4)]
-    picks_a = strat.plain_actions(1, nodes, hist_a)
-    picks_b = strat.plain_actions(1, nodes, hist_b)
+    prev_a = np.full(60, 3)
+    prev_b = np.full(60, 4)
+    picks_a = strat.plain_actions(1, nodes, prev_a)
+    picks_b = strat.plain_actions(1, nodes, prev_b)
     assert not np.array_equal(picks_a, picks_b)
-    assert np.array_equal(picks_a, strat.plain_actions(1, nodes, hist_a))
+    assert np.array_equal(picks_a, strat.plain_actions(1, nodes, prev_a))
+    # no previous interval reads as last node 0
+    assert np.array_equal(
+        strat.plain_actions(0, nodes, None), strat.plain_actions(0, nodes, np.zeros(60, int))
+    )
     # counter moves react to the opponent's action
-    opp0 = strat.counter_actions(1, nodes, hist_a, np.zeros(60, int))
-    opp1 = strat.counter_actions(1, nodes, hist_a, np.ones(60, int))
+    opp0 = strat.counter_actions(1, nodes, prev_a, np.zeros(60, int))
+    opp1 = strat.counter_actions(1, nodes, prev_a, np.ones(60, int))
     assert not np.array_equal(opp0, opp1)
+
+
+class _RecordingStrategy:
+    """Plays action 0 everywhere and records what each call was handed."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.calls = []
+
+    def _record(self, k, nodes, prev):
+        self.calls.append((k, nodes.copy(), None if prev is None else prev.copy()))
+        return np.zeros_like(nodes)
+
+    def plain_actions(self, k, nodes, prev):
+        return self._record(k, nodes, prev)
+
+    def counter_actions(self, k, nodes, prev, opp):
+        return self._record(k, nodes, prev)
+
+
+def test_simulate_hands_strategies_the_previous_nodes():
+    prob = bilinear_problem()
+    grid = SpatialGrid(-6.0, 6.0, 121)
+    part = make_uniform_partition(0.0, 0.5, 4)
+    su, sv = _RecordingStrategy(grid), _RecordingStrategy(grid)
+    paths = 16
+    res = simulate(prob, part, RandomMode(CoinSource(3)), su, sv, paths, 2,
+                   NoiseSource(4), record=paths)
+    states = np.stack([rec.states for rec in res.records], axis=1)
+    nodes_at = [grid.nearest_index(states[k]) for k in range(part.intervals)]
+    assert not np.array_equal(nodes_at[0], nodes_at[-1])  # the paths do move
+    for strat in (su, sv):
+        assert [k for k, _, _ in strat.calls] == [0, 0, 1, 1, 2, 2, 3, 3]
+        for k, nodes, prev in strat.calls:
+            assert np.array_equal(nodes, nodes_at[k])
+            if k == 0:
+                assert prev is None
+            else:
+                assert np.array_equal(prev, nodes_at[k - 1])
+
+
+# --- the vectorised lattice against a per-interval, per-action-pair oracle ------
+
+
+def _oracle_successors(spec, grid, partition, quad_points=3):
+    """build_lattice's successors written interval by interval and pair by pair."""
+    zeta, _ = engine._gauss_hermite_unit(quad_points)
+    xs = grid.xs
+    n = xs.size
+    ku, kv = spec.actions_u.size, spec.actions_v.size
+    succ = np.empty((partition.intervals, n, ku, kv, quad_points))
+    for k in range(partition.intervals):
+        t = float(partition.times[k])
+        dt = float(partition.steps[k])
+        for a in range(ku):
+            U = np.broadcast_to(spec.actions_u.array[a], (n, spec.actions_u.dim))
+            for c in range(kv):
+                V = np.broadcast_to(spec.actions_v.array[c], (n, spec.actions_v.dim))
+                b = spec.drift(t, xs[:, None], U, V)[:, 0]
+                sig = spec.diffusion(t, xs[:, None], U, V)[:, 0, :]
+                s_eff = np.sqrt(np.sum(sig * sig, axis=1))
+                succ[k, :, a, c, :] = (
+                    xs[:, None] + b[:, None] * dt + s_eff[:, None] * np.sqrt(dt) * zeta
+                )
+    return succ
+
+
+def _oracle_moment_errors(spec, lattice):
+    """TransitionModel.moment_errors written interval by interval and pair by pair."""
+    xs = lattice.grid.xs
+    n = xs.size
+    w = lattice.quad_weights
+    err_mean = err_var = 0.0
+    for k in range(lattice.partition.intervals):
+        t = float(lattice.partition.times[k])
+        dt = float(lattice.partition.steps[k])
+        for a in range(spec.actions_u.size):
+            U = np.broadcast_to(spec.actions_u.array[a], (n, spec.actions_u.dim))
+            for c in range(spec.actions_v.size):
+                V = np.broadcast_to(spec.actions_v.array[c], (n, spec.actions_v.dim))
+                b = spec.drift(t, xs[:, None], U, V)[:, 0]
+                sig = spec.diffusion(t, xs[:, None], U, V)[:, 0, :]
+                s2 = np.sum(sig * sig, axis=1)
+                succ = lattice.successors[k, :, a, c, :]
+                mean = succ @ w
+                var = ((succ - mean[:, None]) ** 2) @ w
+                err_mean = max(err_mean, float(np.max(np.abs(mean - (xs + b * dt)))))
+                err_var = max(err_var, float(np.max(np.abs(var - s2 * dt))))
+    return err_mean, err_var
+
+
+# sigma has d' = 3 columns in every case, so a swapped reduction of
+# sigma sigma^T would round differently
+LATTICE_COEFFICIENTS = {
+    "constant": ((0.3, 1.0, 0.7, 0.2), 3),
+    "affine": ((0.2, -0.4, 1.2, 0.3, 0.9), 3),
+    "bilinear": ((4.0, SQRT2), 1),
+}
+
+
+def _lattice_problem(coef, u_values=(-1.0, 1.0), v_values=(-1.0, 1.0), noise_dim=None):
+    params, d_prime = LATTICE_COEFFICIENTS[coef]
+    return ProblemSpec(
+        coefficients=CoefficientSpec(coef, params, dim=1, noise_dim=noise_dim or d_prime),
+        payoff=PayoffSpec("cosine", (1.0, 1.0), dim=1),
+        priority=PrioritySpec("constant", (0.5,), dim=1),
+        actions_u=ActionSet.from_values(u_values),
+        actions_v=ActionSet.from_values(v_values),
+        horizon=0.5,
+    )
+
+
+def _assert_lattice_matches_oracle(spec):
+    grid = SpatialGrid(-6.0, 6.0, 81)
+    # unequal steps, so a step read from the wrong interval shows
+    part = Partition(np.array([0.0, 0.05, 0.12, 0.3, 0.5]))
+    lattice = build_lattice(spec, grid, part)
+    assert np.array_equal(lattice.successors, _oracle_successors(spec, grid, part))
+    assert lattice.moment_errors(spec) == _oracle_moment_errors(spec, lattice)
+
+
+@pytest.mark.parametrize("actions", [((-1.0, 1.0), (-1.0, 1.0)), ((-1.0, 0.0, 1.0), (-1.0, 1.0))])
+@pytest.mark.parametrize("coef", sorted(LATTICE_COEFFICIENTS))
+def test_lattice_matches_per_pair_oracle_bitwise(coef, actions):
+    _assert_lattice_matches_oracle(_lattice_problem(coef, *actions))
+
+
+def test_lattice_matches_oracle_with_three_noise_columns_on_bilinear():
+    # bilinear sigma is diagonal, so its d' = 3 table has two zero columns
+    _assert_lattice_matches_oracle(_lattice_problem("bilinear", noise_dim=3))
+
+
+def test_time_dependent_family_rebuilds_lattice_table_each_interval(monkeypatch):
+    # a drift that moves with t, declared so: the lattice must rebuild the
+    # table at every t_k, as the oracle does
+    fam = problem._COEFFICIENT_FAMILIES["affine"]
+    affine_drift = fam.drift
+
+    def drift(cls, params, d, d_prime, t, X, U, V):
+        return affine_drift(params, d, d_prime, t, X, U, V) + 3.0 * t * U
+
+    monkeypatch.setattr(fam, "drift", classmethod(drift))
+    monkeypatch.setattr(fam, "time_independent", False)
+    spec = _lattice_problem("affine", u_values=(-1.0, 0.0, 1.0))
+    assert not spec.coefficients.time_independent
+    _assert_lattice_matches_oracle(spec)
 
 
 def test_simulation_tracks_dp_value():

@@ -2,16 +2,25 @@ import numpy as np
 import pytest
 
 from helpers import bilinear_problem, singleton_problem
+from isaacslab import problem
 from isaacslab.hamiltonian import (
     DifferentialState,
     generator,
+    generator_tensor,
     hamiltonian_batch,
     hamiltonian_lower,
     hamiltonian_mixed,
     hamiltonian_upper,
     local_matrix,
 )
-from isaacslab.problem import ProblemError
+from isaacslab.problem import (
+    ActionSet,
+    CoefficientSpec,
+    PayoffSpec,
+    PrioritySpec,
+    ProblemError,
+    ProblemSpec,
+)
 
 seed = 0
 
@@ -143,3 +152,65 @@ def test_differential_state_validation():
         )
     with pytest.raises(ProblemError):
         DifferentialState(0.0, np.array([np.nan]), np.zeros(1), np.zeros((1, 1)))
+
+
+# --- the batched generator against a per-action-pair oracle -------------------
+
+
+def _oracle_generator_tensor(spec, t, X, grads, hesses):
+    """generator_tensor written pair by pair, one drift/diffusion call per pair."""
+    n = X.shape[0]
+    ku, kv = spec.actions_u.size, spec.actions_v.size
+    out = np.empty((n, ku, kv))
+    for a in range(ku):
+        U = np.broadcast_to(spec.actions_u.array[a], (n, spec.actions_u.dim))
+        for b in range(kv):
+            V = np.broadcast_to(spec.actions_v.array[b], (n, spec.actions_v.dim))
+            bvec = spec.drift(t, X, U, V)
+            sig = spec.diffusion(t, X, U, V)
+            a2 = np.einsum("nik,njk->nij", sig, sig)
+            out[:, a, b] = np.einsum("ni,ni->n", bvec, grads) + 0.5 * np.einsum(
+                "nij,nij->n", a2, hesses
+            )
+    return out
+
+
+def _coefficient_params(family, d, d_prime, rng):
+    count = problem._COEFFICIENT_FAMILIES[family].param_count(d, d_prime)
+    return tuple(float(c) for c in rng.normal(size=count))
+
+
+def _random_batch(d, rng, n=9):
+    X = rng.normal(0.0, 2.0, (n, d))
+    G = rng.normal(size=(n, d))
+    H = rng.normal(size=(n, d, d))
+    return X, G, H + H.transpose(0, 2, 1)
+
+
+def _generator_problem(family, d, d_prime, rng, u_values, v_values):
+    return ProblemSpec(
+        coefficients=CoefficientSpec(
+            family, _coefficient_params(family, d, d_prime, rng), dim=d, noise_dim=d_prime
+        ),
+        payoff=PayoffSpec("cosine", (1.0, 1.0), dim=d),
+        priority=PrioritySpec("constant", (0.5,), dim=d),
+        actions_u=ActionSet.from_values(u_values),
+        actions_v=ActionSet.from_values(v_values),
+        horizon=0.5,
+        start_state=(0.0,) * d,
+    )
+
+
+@pytest.mark.parametrize("d_prime", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family", ["affine", "bilinear", "constant"])
+def test_generator_tensor_matches_per_pair_oracle_bitwise(family, d, d_prime):
+    rng = np.random.default_rng(100 * d + 10 * d_prime)
+    # 3 x 2 actions, two-dimensional so bilinear's <u, v> sums two products
+    u_values = ((-1.0, 0.5), (0.0, 1.0), (1.0, -0.3))
+    v_values = ((-1.0, 0.2), (0.7, 1.0))
+    spec = _generator_problem(family, d, d_prime, rng, u_values, v_values)
+    X, G, H = _random_batch(d, rng)
+    tens = generator_tensor(spec, 0.2, X, G, H)
+    assert tens.shape == (9, 3, 2)
+    assert np.array_equal(tens, _oracle_generator_tensor(spec, 0.2, X, G, H))

@@ -63,6 +63,37 @@ def test_mixed_value_affine_in_prio():
     assert abs(direct - split) < 1e-12
 
 
+def test_mix_exact_endpoints_are_bitwise():
+    # a plain blend turns 1 * (-0.0) + 0 * 1 into +0.0, and likewise at p = 0
+    assert np.signbit(mix(1.0, -0.0, 1.0))
+    assert np.signbit(mix(0.0, 1.0, -0.0))
+    rng = np.random.default_rng(seed)
+    lower, upper = rng.normal(size=40), rng.normal(size=40)
+    lower[::2], upper[1::2] = -0.0, -0.0
+    prio = np.tile([1.0, 0.0, 0.3, 1.0], 10)
+    out = mix(prio, lower, upper)
+    for side, where in ((lower, prio == 1.0), (upper, prio == 0.0)):
+        assert np.array_equal(out[where], side[where])
+        assert np.array_equal(np.signbit(out[where]), np.signbit(side[where]))
+    mid = prio == 0.3
+    assert np.array_equal(out[mid], 0.3 * lower[mid] + (1.0 - 0.3) * upper[mid])
+
+
+def test_mix_scalar_returns_float():
+    for prio in (0.25, np.float64(0.25), np.array(0.25)):
+        out = mix(prio, -1.0, 1.0)
+        assert type(out) is float and out == 0.5
+    assert type(mix(1.0, np.float64(-1.0), 1.0)) is float
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1, np.inf])
+def test_mix_rejects_priorities_outside_unit_interval(bad):
+    with pytest.raises(StaticGameError):
+        mix(bad, 0.0, 1.0)
+    with pytest.raises(StaticGameError):
+        mix(np.array([0.5, bad, 1.0]), np.zeros(3), np.ones(3))
+
+
 def test_lower_never_exceeds_upper():
     rng = np.random.default_rng(seed)
     for _ in range(200):
