@@ -105,18 +105,13 @@ def grid_from_config(cfg: Config) -> pde.SpatialGrid:
     )
 
 
-def partition_from_config(cfg: Config, spec: ProblemSpec, n: int | None = None):
-    if n is None:
-        n = cfg.get_int("discretization.partition.n", required=True)
+def partition_from_config(cfg: Config, spec: ProblemSpec):
+    n = cfg.get_int("discretization.partition.n", required=True)
     return schedule.make_uniform_partition(spec.start_time, spec.horizon, n)
 
 
-def _seeds(cfg: Config) -> tuple[int, int, int]:
-    return (
-        cfg.get_int("run.noise_seed", 1),
-        cfg.get_int("run.coin_seed", 2),
-        cfg.get_int("run.challenger_seed", 3),
-    )
+def _seeds(cfg: Config) -> tuple[int, int]:
+    return cfg.get_int("run.noise_seed", 1), cfg.get_int("run.coin_seed", 2)
 
 
 def _prefix(cfg: Config, command: str) -> str:
@@ -246,6 +241,8 @@ def _cmd_pde(cfg: Config, out: Path, prefix: str) -> list[str]:
     field = pde.solve(spec, grid, dt, hamiltonian=mode)
     steps = field.times.size - 1
     stride = cfg.get_int("pde.output_stride", max(1, steps // 10))
+    if stride < 1:
+        raise ConfigError(f"pde.output_stride must be at least 1, got {stride}")
     indices = sorted(set(range(0, steps + 1, stride)) | {steps})
     name = f"{prefix}_pde.csv"
     _field_csv(out / name, field, indices)
@@ -259,31 +256,54 @@ def _cmd_pde(cfg: Config, out: Path, prefix: str) -> list[str]:
     return [name, sname]
 
 
-def _dp_tables(cfg: Config, spec: ProblemSpec, n: int | None = None, block: int | None = None):
+def _solve(
+    spec: ProblemSpec,
+    part: schedule.Partition,
+    lattice: engine.TransitionModel,
+    mode: str,
+    block,
+    epsilon: float | None,
+    coin_seed: int,
+):
+    """Backward induction in one mode, plus the play rule that replays it.
+
+    The deterministic mode lays marks in blocks of ``block`` intervals and
+    audits their density against ``epsilon`` unless it is None; the random
+    mode ignores both and plays coins seeded with ``coin_seed``.
+    """
+    if mode == "random":
+        tables = engine.dp_value_random(spec, part, lattice)
+        return tables, engine.RandomMode(engine.CoinSource(coin_seed))
+    marks, subgrid = schedule.make_marks(part, spec.priority, block)
+    if epsilon is not None:
+        report = schedule.check_density(part, marks, subgrid, spec.priority, epsilon)
+        if not report.passed:
+            raise _DensityFailure(report)
+    tables = engine.dp_value_deterministic(spec, part, marks, subgrid, lattice)
+    return tables, engine.DeterministicMode(marks)
+
+
+def _dp_from_config(cfg: Config, spec: ProblemSpec, coin_seed: int):
+    """The lattice and the solve of the dp and simulate commands."""
     grid = grid_from_config(cfg)
-    part = partition_from_config(cfg, spec, n)
+    part = partition_from_config(cfg, spec)
     quad = cfg.get_int("discretization.quad_points", 3)
     lattice = engine.build_lattice(spec, grid, part, quad)
     mode = cfg.get_str("run.mode", "random")
     if mode == "random":
-        return engine.dp_value_random(spec, part, lattice), part, lattice, None, None
-    if mode == "deterministic":
-        if block is None:
-            block = cfg.get_int("discretization.block", required=True)
-        marks, subgrid = schedule.make_marks(part, spec.priority, block)
+        block = epsilon = None
+    elif mode == "deterministic":
+        block = cfg.get_int("discretization.block", required=True)
         epsilon = cfg.get_float("run.epsilon")
-        if epsilon is not None:
-            report = schedule.check_density(part, marks, subgrid, spec.priority, epsilon)
-            if not report.passed:
-                raise _DensityFailure(report)
-        tables = engine.dp_value_deterministic(spec, part, marks, subgrid, lattice)
-        return tables, part, lattice, marks, subgrid
-    raise ConfigError(f"run.mode must be random or deterministic, got {mode!r}")
+    else:
+        raise ConfigError(f"run.mode must be random or deterministic, got {mode!r}")
+    return (part, lattice) + _solve(spec, part, lattice, mode, block, epsilon, coin_seed)
 
 
 def _cmd_dp(cfg: Config, out: Path, prefix: str) -> list[str]:
     spec = problem_from_config(cfg)
-    tables, part, lattice, marks, _ = _dp_tables(cfg, spec)
+    # dp plays no paths, so the coin seed of the returned play rule is unused
+    part, lattice, tables, _ = _dp_from_config(cfg, spec, coin_seed=0)
     name = f"{prefix}_dp_values.csv"
     _field_csv(out / name, tables.value, range(part.intervals + 1))
     sname = f"{prefix}_dp_summary.csv"
@@ -314,17 +334,13 @@ def _cmd_dp(cfg: Config, out: Path, prefix: str) -> list[str]:
 
 def _cmd_simulate(cfg: Config, out: Path, prefix: str) -> list[str]:
     spec = problem_from_config(cfg)
-    tables, part, lattice, marks, _ = _dp_tables(cfg, spec)
-    noise_seed, coin_seed, _ = _seeds(cfg)
+    noise_seed, coin_seed = _seeds(cfg)
+    part, _, tables, play = _dp_from_config(cfg, spec, coin_seed)
     paths = cfg.get_int("run.paths", 10000)
     substeps = cfg.get_int("run.substeps", 4)
     record = cfg.get_int("run.record_paths", 0)
-    if tables.mode == "random":
-        mode = engine.RandomMode(engine.CoinSource(coin_seed))
-    else:
-        mode = engine.DeterministicMode(marks)
     result = engine.simulate(
-        spec, part, mode, tables.strategy_u, tables.strategy_v,
+        spec, part, play, tables.strategy_u, tables.strategy_v,
         paths, substeps, engine.NoiseSource(noise_seed), record=record,
     )
     dp_at_start = tables.value_at_start(spec.start_state[0])
@@ -379,7 +395,7 @@ def run_converge(cfg: Config) -> list[dict]:
         if mode not in ("random", "deterministic"):
             raise ConfigError("run.mode must be random, deterministic or both")
     x0 = spec.start_state[0]
-    noise_seed, coin_seed, _ = _seeds(cfg)
+    noise_seed, coin_seed = _seeds(cfg)
     paths = cfg.get_int("run.paths", 10000)
     substeps = cfg.get_int("run.substeps", 4)
     if spec.horizon == spec.start_time:
@@ -409,21 +425,10 @@ def run_converge(cfg: Config) -> list[dict]:
         quad = cfg.get_int("discretization.quad_points", 3)
         lattice = engine.build_lattice(spec, grid, part, quad)
         for mode in mode_list:
-            if mode == "random":
-                tables = engine.dp_value_random(spec, part, lattice)
-                block = ""
-                play = engine.RandomMode(engine.CoinSource(coin_seed + level_idx))
-            else:
-                block = max(1, int(round(np.sqrt(n))))
-                marks, subgrid = schedule.make_marks(part, spec.priority, block)
-                if epsilon is not None:
-                    report = schedule.check_density(
-                        part, marks, subgrid, spec.priority, epsilon
-                    )
-                    if not report.passed:
-                        raise _DensityFailure(report)
-                tables = engine.dp_value_deterministic(spec, part, marks, subgrid, lattice)
-                play = engine.DeterministicMode(marks)
+            block = "" if mode == "random" else max(1, int(round(np.sqrt(n))))
+            tables, play = _solve(
+                spec, part, lattice, mode, block, epsilon, coin_seed + level_idx
+            )
             gap = float(np.max(np.abs(tables.value.initial_slice[in_window] - ref0[in_window])))
             sim = engine.simulate(
                 spec, part, play, tables.strategy_u, tables.strategy_v,
@@ -481,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key-value config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None,
-                       help="override run.noise_seed/coin_seed/challenger_seed")
+                       help="override run.noise_seed/coin_seed")
         if name == "converge":
             p.add_argument("--levels", default=None,
                            help="comma-separated partition sizes, overrides run.levels")
@@ -496,7 +501,6 @@ def main(argv=None) -> int:
             cfg = cfg.with_overrides(
                 run__noise_seed=args.seed,
                 run__coin_seed=args.seed + 1,
-                run__challenger_seed=args.seed + 2,
             )
         if getattr(args, "levels", None):
             cfg = cfg.with_overrides(run__levels=args.levels)

@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .csvio import format_cell
+
 __all__ = [
     "ConfigError",
     "Config",
@@ -128,13 +130,9 @@ def load_config(path: str | Path) -> Config:
 
 def format_value(value) -> str:
     """Render a value as config text; floats keep full double precision."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, (list, tuple)):
         return ", ".join(format_value(v) for v in value)
-    return str(value)
+    return format_cell(value)
 
 
 def write_manifest(

@@ -140,7 +140,8 @@ class TransitionModel:
         w = self.quad_weights
         err_mean = 0.0
         err_var = 0.0
-        for k, dt, b, s2 in _interval_tables(spec, xs, self.partition):
+        b, s2 = _lattice_table(spec, xs, self.partition)
+        for k, dt in enumerate(self.partition.steps.tolist()):
             succ = self.successors[k]
             mean = succ @ w
             var = ((succ - mean[..., None]) ** 2) @ w
@@ -149,18 +150,14 @@ class TransitionModel:
         return err_mean, err_var
 
 
-def _interval_tables(spec: ProblemSpec, xs: np.ndarray, partition: Partition):
-    """Yield (k, dt_k, b, sigma^2) for each interval k, tables laid out (n, ku, kv).
+def _lattice_table(spec: ProblemSpec, xs: np.ndarray, partition: Partition):
+    """b and sigma^2 for every node and action pair, laid out (n, ku, kv).
 
-    The table is built once for a time-independent coefficient family and
-    at each t_k otherwise.
+    The coefficients ignore t, so the table at the partition's first time
+    serves every interval.
     """
-    frozen = spec.coefficients.time_independent
-    for k, dt in enumerate(partition.steps):
-        if k == 0 or not frozen:
-            b, s2 = coefficient_table(spec, float(partition.times[k]), xs)
-            b, s2 = b.transpose(2, 0, 1), s2.transpose(2, 0, 1)
-        yield k, float(dt), b, s2
+    b, s2 = coefficient_table(spec, float(partition.times[0]), xs)
+    return b.transpose(2, 0, 1), s2.transpose(2, 0, 1)
 
 
 def _gauss_hermite_unit(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +189,8 @@ def build_lattice(
     xs = grid.xs
     ku, kv = spec.actions_u.size, spec.actions_v.size
     succ = np.empty((partition.intervals, xs.size, ku, kv, quad_points))
-    for k, dt, b, s2 in _interval_tables(spec, xs, partition):
+    b, s2 = _lattice_table(spec, xs, partition)
+    for k, dt in enumerate(partition.steps.tolist()):
         succ[k] = xs[:, None, None, None] + b[..., None] * dt + np.sqrt(s2)[..., None] * np.sqrt(dt) * zeta
     protrusion = max(
         float(grid.lower - succ.min()), float(succ.max() - grid.upper), 0.0
@@ -375,7 +373,10 @@ class GameValueTables:
     one-period game's sup-inf and inf-sup coincide), so the lower and upper
     values of the discrete game are one field, stored once as ``v_minus``.
     ``max_order_violation`` records the largest pointwise violation of
-    lower <= upper seen in any local game.
+    lower <= upper seen in any local game.  It is 0.0 by construction: the
+    lower and upper values are a max of mins and a min of maxes of the same
+    entries, which round nothing, so lower <= upper holds bitwise; and the
+    running max(0.0, nan) is also 0.0.
     """
 
     mode: str
@@ -400,11 +401,12 @@ class GameValueTables:
 
 
 def _dp_sweep(
+    mode: str,
     spec: ProblemSpec,
     lattice: TransitionModel,
     node_rule,
     strategy_starts: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+) -> GameValueTables:
     """Shared backward loop.
 
     ``node_rule(k, lower, upper)`` returns the node values for interval k.
@@ -442,26 +444,13 @@ def _dp_sweep(
             u_counter[r] = f.argmax(axis=1)
             v_plain[r] = col_ceil.argmin(axis=1)
             v_counter[r] = f.argmin(axis=2)
-    return values, u_plain, u_counter, v_plain, v_counter, worst
-
-
-def _tables(
-    mode: str,
-    spec: ProblemSpec,
-    lattice: TransitionModel,
-    node_rule,
-    starts: tuple[int, ...],
-) -> GameValueTables:
-    values, u_plain, u_counter, v_plain, v_counter, worst = _dp_sweep(
-        spec, lattice, node_rule, starts
-    )
     return GameValueTables(
         mode=mode,
-        grid=lattice.grid,
-        partition=lattice.partition,
-        v_minus=ValueField(grid=lattice.grid, times=lattice.partition.times, values=values),
-        strategy_u=MarkovStrategyU(lattice.grid, starts, u_plain, u_counter),
-        strategy_v=MarkovStrategyV(lattice.grid, starts, v_plain, v_counter),
+        grid=grid,
+        partition=partition,
+        v_minus=ValueField(grid=grid, times=partition.times, values=values),
+        strategy_u=MarkovStrategyU(grid, strategy_starts, u_plain, u_counter),
+        strategy_v=MarkovStrategyV(grid, strategy_starts, v_plain, v_counter),
         max_order_violation=worst,
     )
 
@@ -483,7 +472,7 @@ def dp_value_random(
         return mix(spec.priority_values(float(partition.times[k]), xs), lower, upper)
 
     starts = tuple(range(partition.intervals))
-    return _tables("random", spec, lattice, node_rule, starts)
+    return _dp_sweep("random", spec, lattice, node_rule, starts)
 
 
 def dp_value_deterministic(
@@ -514,7 +503,7 @@ def dp_value_deterministic(
         return lower if xi[k] == 1 else upper
 
     starts = subgrid.indices[:-1]
-    return _tables("deterministic", spec, lattice, node_rule, starts)
+    return _dp_sweep("deterministic", spec, lattice, node_rule, starts)
 
 
 def _check_lattice(partition: Partition, lattice: TransitionModel) -> None:
@@ -545,9 +534,10 @@ class RandomMode:
 class PathRecord:
     """Full audit trail of one simulated path.
 
-    ``states`` holds the decision-time states, ``substep_states`` every
-    Euler point, and ``noise`` the Gaussian increments, so the recursion
-    X_next = X + b dt + sigma dW can be replayed exactly.
+    ``substep_states`` holds every Euler point, ``states`` the decision-time
+    states (every ``substeps``-th Euler point), and ``noise`` the Gaussian
+    increments, so the recursion X_next = X + b dt + sigma dW can be
+    replayed exactly.
     ``who_second[k]`` is True when v saw u in interval k.
     """
 
@@ -624,8 +614,6 @@ def simulate(
     prev = None
     rec = record
     if rec:
-        rec_states = np.empty((n + 1, rec))
-        rec_states[0] = x[:rec]
         rec_sub = np.empty((n * substeps + 1, rec))
         rec_sub[0] = x[:rec]
         rec_u = np.empty((n, rec), dtype=int)
@@ -665,7 +653,6 @@ def simulate(
                 rec_noise[k, ss] = dW[:rec]
         prev = nodes
         if rec:
-            rec_states[k + 1] = x[:rec]
             rec_u[k] = iu[:rec]
             rec_v[k] = iv[:rec]
             if coins is not None:
@@ -680,7 +667,7 @@ def simulate(
         records.append(
             PathRecord(
                 times=partition.times.copy(),
-                states=rec_states[:, i].copy(),
+                states=rec_sub[::substeps, i].copy(),
                 substep_states=rec_sub[:, i].copy(),
                 u_actions=rec_u[:, i].copy(),
                 v_actions=rec_v[:, i].copy(),

@@ -19,11 +19,12 @@ The coefficients enter through a table of b and sigma sigma^T for every
 action pair and node (:func:`coefficient_table`, shape (ku, kv, n)), the
 one-dimensional view of :meth:`isaacslab.problem.ProblemSpec.coefficient_table`,
 which evaluates drift and diffusion over all pairs in one call.  The lattice
-engine reads the same view.  For time-independent coefficient families,
-which all registered ones are, the table is built once before the march;
-each step is then a few whole-array operations on preallocated buffers,
-with the lower and upper Hamiltonians taken as reductions over the two
-action axes and blended by :func:`isaacslab.static_game.mix`.
+engine reads the same view.  The coefficients ignore t (the contract of
+the coefficient families in :mod:`isaacslab.problem`), so the table is
+built once before the march and :func:`cfl_max_dt` scans one table; each
+step is then a few whole-array operations on preallocated buffers, with
+the lower and upper Hamiltonians taken as reductions over the two action
+axes and blended by :func:`isaacslab.static_game.mix`.
 
 State dimension is one; higher-dimensional problems are accepted by the
 algebraic modules but not by this solver.
@@ -172,31 +173,17 @@ def coefficient_table(
     return b[..., 0], np.sum(sig * sig, axis=-1)
 
 
-def _scan_coefficient_extremes(spec: ProblemSpec, grid: SpatialGrid) -> tuple[float, float]:
-    """Max |b| and max sigma sigma^T over nodes, action pairs, sampled times.
-
-    A time-independent family is scanned at the start time only; any other
-    at five times spread over [s, T].
-    """
-    samples = 1 if spec.coefficients.time_independent else 5
-    max_b = 0.0
-    max_s2 = 0.0
-    for t in np.linspace(spec.start_time, spec.horizon, samples):
-        b, s2 = coefficient_table(spec, float(t), grid.xs)
-        max_b = max(max_b, float(np.max(np.abs(b))))
-        max_s2 = max(max_s2, float(np.max(s2)))
-    return max_b, max_s2
-
-
 def cfl_max_dt(spec: ProblemSpec, grid: SpatialGrid) -> float:
     """Largest stable explicit step: (1 - 1e-6) / (max|b|/dx + max(sigma^2)/dx^2).
 
-    The extremes are scanned over all grid nodes and all action pairs, at
-    one time for time-independent coefficient families (exact for them) and
-    at a sample of times in [s, T] otherwise.  A zero denominator (no
-    drift, no noise) returns the horizon length.
+    The extremes are scanned over all grid nodes and all action pairs of
+    the coefficient table at the start time, which is exact at every time
+    because the coefficients ignore t.  A zero denominator (no drift, no
+    noise) returns the horizon length.
     """
-    max_b, max_s2 = _scan_coefficient_extremes(spec, grid)
+    b, s2 = coefficient_table(spec, spec.start_time, grid.xs)
+    max_b = float(np.max(np.abs(b)))
+    max_s2 = float(np.max(s2))
     dx = grid.dx
     denom = max_b / dx + max_s2 / dx**2
     if denom == 0.0:
@@ -219,9 +206,9 @@ def solve(
     monotone scheme never does unless the stability bound was violated).
     The update is v(t - dt, x) = v(t, x) + dt * H(t, x, Dv(t), D2v(t)):
     coefficients, priority and differences all read the known slice.
-    The coefficient table (:func:`coefficient_table`) is built once before
-    the march when the family is time-independent, and rebuilt at every
-    step otherwise; the priority is evaluated at every step.
+    The coefficients ignore t, so the coefficient table
+    (:func:`coefficient_table`) is built once before the march; the
+    priority is evaluated at every step.
     """
     if hamiltonian not in ("lower", "upper", "mixed"):
         raise PdeError(f"unknown hamiltonian mode {hamiltonian!r}")
@@ -264,14 +251,12 @@ def solve(
     max_u = np.empty((kv, n))
     low = np.empty(n)
     up = np.empty(n)
-    frozen = spec.coefficients.time_independent
+    b, s2 = coefficient_table(spec, float(times[m]), xs)
+    b_plus = np.where(b >= 0.0, b, 0.0)
+    b_minus = np.where(b >= 0.0, 0.0, b)
+    half_s2 = 0.5 * s2
     for k in range(m, 0, -1):
         t_known = float(times[k])
-        if k == m or not frozen:
-            b, s2 = coefficient_table(spec, t_known, xs)
-            b_plus = np.where(b >= 0.0, b, 0.0)
-            b_minus = np.where(b >= 0.0, 0.0, b)
-            half_s2 = 0.5 * s2
         We[0] = W[0]
         We[-1] = W[-1]
         np.subtract(We[1:], We[:-1], out=slope)

@@ -106,17 +106,18 @@ class ActionSet:
 # Batch convention: X has shape (n, d), U shape (n, ku), V shape (n, kv);
 # drift returns (n, d), diffusion returns (n, d, d_prime).  Rows are
 # independent samples; broadcasting a single action over n rows is the
-# caller's job (np.broadcast_to, no copy).  ``time_independent`` declares
-# that drift and diffusion ignore t, so callers may evaluate them once for
-# every time (the explicit PDE march does).
+# caller's job (np.broadcast_to, no copy).
+#
+# Contract: drift and diffusion ignore t.  The PDE march, its CFL scan and
+# the lattice build one action-pair table and use it at every time, so a
+# family whose coefficients moved with t would be solved wrongly;
+# test_every_coefficient_family_ignores_time checks every registered family.
 
 
 class _ConstantCoefficients:
     """b and sigma constant in (t, x, u, v): params = [b (d), sigma rows (d*d')]"""
 
     name = "constant"
-    state_independent = True
-    time_independent = True
 
     @staticmethod
     def param_count(d: int, d_prime: int) -> int:
@@ -153,8 +154,6 @@ class _AffineCoefficients:
     """
 
     name = "affine"
-    state_independent = False
-    time_independent = True
 
     @staticmethod
     def param_count(d: int, d_prime: int) -> int:
@@ -195,8 +194,6 @@ class _BilinearCoefficients:
     """
 
     name = "bilinear"
-    state_independent = True
-    time_independent = True
 
     @staticmethod
     def param_count(d: int, d_prime: int) -> int:
@@ -267,15 +264,6 @@ class CoefficientSpec:
     @property
     def _fam(self):
         return _COEFFICIENT_FAMILIES[self.family]
-
-    @property
-    def state_independent(self) -> bool:
-        return self._fam.state_independent
-
-    @property
-    def time_independent(self) -> bool:
-        """True when drift and diffusion ignore ``t``, so one evaluation serves every time."""
-        return self._fam.time_independent
 
     def drift(self, t: float, X: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         return self._fam.drift(
@@ -642,6 +630,17 @@ class AssumptionReport:
         return not self.failures
 
 
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean (Frobenius) norm of each A[i], rounded as np.linalg.norm(A[i]) is.
+
+    np.linalg.norm of one array is a dot product of its raveled entries;
+    matmul takes the same dot per row, where norm(A, axis=...) sums squares
+    and can differ in the last bit.
+    """
+    rows = A.reshape(A.shape[0], 1, -1)
+    return np.sqrt(rows @ rows.transpose(0, 2, 1))[:, 0, 0]
+
+
 def validate_assumptions(
     spec: ProblemSpec,
     box_radius: float = 10.0,
@@ -663,23 +662,16 @@ def validate_assumptions(
     U = spec.actions_u.array[rng.integers(0, spec.actions_u.size, n)]
     V = spec.actions_v.array[rng.integers(0, spec.actions_v.size, n)]
 
-    lip_obs = 0.0
-    growth_obs = 0.0
-    for i in range(n):
-        bx = spec.drift(t[i], X[i : i + 1], U[i : i + 1], V[i : i + 1])[0]
-        by = spec.drift(t[i], Y[i : i + 1], U[i : i + 1], V[i : i + 1])[0]
-        sx = spec.diffusion(t[i], X[i : i + 1], U[i : i + 1], V[i : i + 1])[0]
-        sy = spec.diffusion(t[i], Y[i : i + 1], U[i : i + 1], V[i : i + 1])[0]
-        gap = np.linalg.norm(X[i] - Y[i])
-        if gap > 1e-12:
-            lip_obs = max(
-                lip_obs,
-                (np.linalg.norm(bx - by) + np.linalg.norm(sx - sy)) / gap,
-            )
-        growth_obs = max(
-            growth_obs,
-            (np.linalg.norm(bx) + np.linalg.norm(sx)) / (1.0 + np.linalg.norm(X[i])),
-        )
+    # the families ignore t (see the batch convention), so one call per point
+    # set serves every sampled time
+    bx, by = spec.drift(t, X, U, V), spec.drift(t, Y, U, V)
+    sx, sy = spec.diffusion(t, X, U, V), spec.diffusion(t, Y, U, V)
+    gap = _row_norms(X - Y)
+    far = gap > 1e-12
+    spread = _row_norms(bx - by) + _row_norms(sx - sy)
+    lip_obs = float(np.max(spread[far] / gap[far], initial=0.0))
+    size = _row_norms(bx) + _row_norms(sx)
+    growth_obs = float(np.max(size / (1.0 + _row_norms(X)), initial=0.0))
 
     payoff_obs = float(np.max(np.abs(spec.payoff_values(X))))
     pvals = np.concatenate([spec.priority_values(ti, Xi[None, :]) for ti, Xi in zip(t, X)])

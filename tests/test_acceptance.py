@@ -308,6 +308,8 @@ run.record_paths = 2
 
 REPLAY_STATIC_CFG = "static.matrix = 1,2;3,0\nstatic.prio = 0.3\n"
 
+REPLAY_MARKS = "run.mode = deterministic\ndiscretization.block = 5\nrun.epsilon = 0.5\n"
+
 
 @pytest.mark.parametrize(
     "command, cfg_text",
@@ -315,8 +317,12 @@ REPLAY_STATIC_CFG = "static.matrix = 1,2;3,0\nstatic.prio = 0.3\n"
         ("converge", REPLAY_CONVERGE_CFG),
         ("simulate", REPLAY_SIMULATE_CFG),
         ("static", REPLAY_STATIC_CFG),
+        ("dp", REPLAY_SIMULATE_CFG + REPLAY_MARKS),
+        ("simulate", REPLAY_SIMULATE_CFG + REPLAY_MARKS),
+        ("converge", REPLAY_CONVERGE_CFG + "run.mode = both\n"),
     ],
-    ids=["converge", "simulate", "static"],
+    ids=["converge", "simulate", "static", "dp_deterministic", "simulate_deterministic",
+         "converge_both"],
 )
 def test_criterion_9_manifest_replay_is_bitwise(tmp_path, command, cfg_text):
     cfg = tmp_path / "run.cfg"

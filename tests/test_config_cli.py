@@ -158,6 +158,14 @@ def test_cli_pde_cfl_exit(tmp_path):
     assert cli.main(["pde", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("stride", [0, -3])
+def test_cli_pde_rejects_output_stride_below_one(tmp_path, capsys, stride):
+    cfg = write_cfg(tmp_path, BILINEAR_CFG + f"pde.output_stride = {stride}\n")
+    assert cli.main(["pde", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "pde.output_stride must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "pde_pde.csv").exists()
+
+
 def test_cli_blowup_exit(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise pde.BlowupError("values left the terminal bounds")
@@ -263,7 +271,6 @@ def test_cli_seed_override(tmp_path):
     manifest = load_config(a / "simulate_simulate_manifest.txt")
     assert manifest.get_int("run.noise_seed") == 5
     assert manifest.get_int("run.coin_seed") == 6
-    assert manifest.get_int("run.challenger_seed") == 7
     _, rows_a = read_rows(a / "simulate_simulate.csv")
     _, rows_b = read_rows(b / "simulate_simulate.csv")
     assert rows_a[0][3] != rows_b[0][3]

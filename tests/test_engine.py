@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import SQRT2, bilinear_problem, one_sided_chains, singleton_problem
-from isaacslab import engine, pde, problem
+from isaacslab import engine, pde
 from isaacslab.engine import (
     CoinSource,
     DeterministicMode,
@@ -500,22 +500,6 @@ def test_lattice_matches_per_pair_oracle_bitwise(coef, actions):
 def test_lattice_matches_oracle_with_three_noise_columns_on_bilinear():
     # bilinear sigma is diagonal, so its d' = 3 table has two zero columns
     _assert_lattice_matches_oracle(_lattice_problem("bilinear", noise_dim=3))
-
-
-def test_time_dependent_family_rebuilds_lattice_table_each_interval(monkeypatch):
-    # a drift that moves with t, declared so: the lattice must rebuild the
-    # table at every t_k, as the oracle does
-    fam = problem._COEFFICIENT_FAMILIES["affine"]
-    affine_drift = fam.drift
-
-    def drift(cls, params, d, d_prime, t, X, U, V):
-        return affine_drift(params, d, d_prime, t, X, U, V) + 3.0 * t * U
-
-    monkeypatch.setattr(fam, "drift", classmethod(drift))
-    monkeypatch.setattr(fam, "time_independent", False)
-    spec = _lattice_problem("affine", u_values=(-1.0, 0.0, 1.0))
-    assert not spec.coefficients.time_independent
-    _assert_lattice_matches_oracle(spec)
 
 
 def test_simulation_tracks_dp_value():

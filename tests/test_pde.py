@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import SQRT2, bilinear_problem, singleton_problem
-from isaacslab import pde, problem
+from isaacslab import pde
 from isaacslab.pde import BlowupError, CflError, PdeError, SpatialGrid, ValueField
 from isaacslab.problem import ActionSet, CoefficientSpec, PayoffSpec, PrioritySpec, ProblemSpec
 
@@ -288,22 +288,6 @@ def test_solve_matches_oracle_with_unequal_action_sets(ham):
     # 3 x 2 actions: the two reductions run over axes of different length
     spec = _pde_problem("bilinear", "logistic", u_values=(-1.0, 0.0, 1.0))
     _assert_matches_oracle(spec, ham)
-
-
-def test_time_dependent_family_rebuilds_table_each_step(monkeypatch):
-    # a drift that moves with t, declared so: the march must rebuild the
-    # table from the known slice's time at every step, as the oracle does
-    fam = problem._COEFFICIENT_FAMILIES["affine"]
-    affine_drift = fam.drift
-
-    def drift(cls, params, d, d_prime, t, X, U, V):
-        return affine_drift(params, d, d_prime, t, X, U, V) + 3.0 * t * U
-
-    monkeypatch.setattr(fam, "drift", classmethod(drift))
-    monkeypatch.setattr(fam, "time_independent", False)
-    spec = _pde_problem("affine", "linear_time")
-    assert not spec.coefficients.time_independent
-    _assert_matches_oracle(spec, "mixed")
 
 
 def test_coefficient_table_layout():
