@@ -238,11 +238,14 @@ def _cmd_pde(cfg: Config, out: Path, prefix: str) -> list[str]:
     safety = cfg.get_float("run.dt_safety", 1.0)
     dt = safety * pde.cfl_max_dt(spec, grid)
     mode = cfg.get_str("pde.hamiltonian", "mixed")
+    # a configured stride is checked before the march; only the default needs the step count
+    stride = cfg.get_int("pde.output_stride")
+    if stride is not None and stride < 1:
+        raise ConfigError(f"pde.output_stride must be at least 1, got {stride}")
     field = pde.solve(spec, grid, dt, hamiltonian=mode)
     steps = field.times.size - 1
-    stride = cfg.get_int("pde.output_stride", max(1, steps // 10))
-    if stride < 1:
-        raise ConfigError(f"pde.output_stride must be at least 1, got {stride}")
+    if stride is None:
+        stride = max(1, steps // 10)
     indices = sorted(set(range(0, steps + 1, stride)) | {steps})
     name = f"{prefix}_pde.csv"
     _field_csv(out / name, field, indices)

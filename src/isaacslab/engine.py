@@ -463,12 +463,19 @@ def dp_value_random(
     Each node of each interval is valued at p(t_k, x) times the lower
     value plus (1 - p) times the upper value of the local game on the
     continuation; degenerate p reproduces the one-sided branch bitwise.
-    Strategies are extracted at every interval.
+    A time-only p is tabulated once over the interval starts.  Strategies
+    are extracted at every interval.
     """
     _check_lattice(partition, lattice)
     xs = lattice.grid.xs[:, None]
+    p_steps = None
+    if spec.priority.time_only:
+        # tabulated in sweep order, so a range error names the t the sweep meets first
+        p_steps = spec.priority.time_values(partition.times[-2::-1]).tolist()[::-1]
 
     def node_rule(k: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        if p_steps is not None:
+            return mix(p_steps[k], lower, upper)
         return mix(spec.priority_values(float(partition.times[k]), xs), lower, upper)
 
     starts = tuple(range(partition.intervals))
@@ -581,8 +588,10 @@ def simulate(
     the priority value), let the second mover's counter map answer the
     leader's plain action, then freeze both actions and take Euler
     sub-steps.  Each strategy sees the interval index, the current nodes
-    and the previous interval's nodes (``None`` at k = 0).  The first
-    ``record`` paths keep a full audit trail.
+    and the previous interval's nodes (``None`` at k = 0).  A time-only
+    priority is tabulated once over the interval starts, and each coin is
+    compared with that interval's float.  The first ``record`` paths keep
+    a full audit trail.
     """
     if spec.dim != 1:
         raise EngineError("the simulator handles state dimension 1")
@@ -605,6 +614,12 @@ def simulate(
         xi = mode.marks.array
     elif isinstance(mode, RandomMode):
         xi = None
+        # a time-only p is one float per interval: no per-path array
+        p_steps = (
+            spec.priority.time_values(partition.times[:-1]).tolist()
+            if spec.priority.time_only
+            else None
+        )
     else:
         raise EngineError("mode must be DeterministicMode or RandomMode")
 
@@ -628,8 +643,10 @@ def simulate(
         nodes = grid.nearest_index(x)
         if xi is None:
             coins = mode.coins.uniforms(paths)
-            p = spec.priority_values(t_prev, x[:, None])
-            heads = coins < p
+            if p_steps is not None:
+                heads = coins < p_steps[k]
+            else:
+                heads = coins < spec.priority_values(t_prev, x[:, None])
         else:
             heads = np.full(paths, bool(xi[k]))
             coins = None

@@ -24,7 +24,11 @@ the coefficient families in :mod:`isaacslab.problem`), so the table is
 built once before the march and :func:`cfl_max_dt` scans one table; each
 step is then a few whole-array operations on preallocated buffers, with
 the lower and upper Hamiltonians taken as reductions over the two action
-axes and blended by :func:`isaacslab.static_game.mix`.
+axes and blended by :func:`isaacslab.static_game.mix`.  A time-only
+priority is tabulated over the step times once per solve, as the paper's
+rules for a state-independent p can be set in advance, so the blend takes
+one float per step; a state-dependent priority is evaluated on the nodes
+at every step.
 
 State dimension is one; higher-dimensional problems are accepted by the
 algebraic modules but not by this solver.
@@ -207,8 +211,11 @@ def solve(
     The update is v(t - dt, x) = v(t, x) + dt * H(t, x, Dv(t), D2v(t)):
     coefficients, priority and differences all read the known slice.
     The coefficients ignore t, so the coefficient table
-    (:func:`coefficient_table`) is built once before the march; the
-    priority is evaluated at every step.
+    (:func:`coefficient_table`) is built once before the march.  In mixed
+    mode a time-only priority is tabulated once over the step times
+    (:meth:`PrioritySpec.time_values`, which raises before the march if p
+    leaves [0, 1]) and blended as one float per step; a state-dependent
+    priority is evaluated on the nodes at every step.
     """
     if hamiltonian not in ("lower", "upper", "mixed"):
         raise PdeError(f"unknown hamiltonian mode {hamiltonian!r}")
@@ -255,8 +262,11 @@ def solve(
     b_plus = np.where(b >= 0.0, b, 0.0)
     b_minus = np.where(b >= 0.0, 0.0, b)
     half_s2 = 0.5 * s2
+    p_steps = None
+    if hamiltonian == "mixed" and spec.priority.time_only:
+        # p at each known slice, in march order: p_steps[m - k] is p(times[k])
+        p_steps = spec.priority.time_values(times[:0:-1])
     for k in range(m, 0, -1):
-        t_known = float(times[k])
         We[0] = W[0]
         We[-1] = W[-1]
         np.subtract(We[1:], We[:-1], out=slope)
@@ -277,11 +287,14 @@ def solve(
             H = low
         elif hamiltonian == "upper":
             H = up
+        elif p_steps is not None:
+            H = mix(p_steps[m - k], low, up)
         else:
-            p = spec.priority_values(t_known, X)
-            H = mix(p, low, up)
+            H = mix(spec.priority_values(float(times[k]), X), low, up)
         W += dt_eff * H
-        if not np.all(np.isfinite(W)) or W.min() < lo_bound or W.max() > hi_bound:
+        # NaN fails both comparisons and an infinity fails a bound
+        lo, hi = W.min(), W.max()
+        if not (lo >= lo_bound and hi <= hi_bound):
             raise BlowupError(
                 f"slice at t={float(times[k - 1])} left the terminal bounds; "
                 "the explicit march is unstable at this step size"

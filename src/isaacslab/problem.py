@@ -389,6 +389,14 @@ class PayoffSpec:
 
 
 # --- priority families --------------------------------------------------------
+#
+# Batch convention: value(params, d, t, X) takes X of shape (n, d) and
+# returns (n,).  t is a float, or an array of n times for a time-only
+# priority: each family broadcasts an array t elementwise (np.full, or
+# w0 + wt * t + X @ wx with X = 0), so PrioritySpec.time_values tabulates
+# p over a time grid in one call, bitwise equal to value(t_i, X) at every
+# node; test_every_priority_family_time_values_match_scalar checks every
+# registered family.
 
 
 class _ConstantPriority:
@@ -487,6 +495,29 @@ class PrioritySpec:
         if out.size and (out.min() < 0.0 or out.max() > 1.0):
             raise ProblemError(
                 f"priority family {self.family!r} left [0, 1] at t={t}"
+            )
+        return out
+
+    def time_values(self, times) -> np.ndarray:
+        """p at each of ``times`` for a time-only priority, in one family call.
+
+        Entry i is bitwise what :meth:`value` gives at times[i] on any state
+        (the batch convention of the priority families).  The range check is
+        that of :meth:`value`: a value outside [0, 1] raises
+        :class:`ProblemError` naming the first such time in the order given,
+        so a solver that passes its times in marching order reports the t
+        its march would have stopped at.
+        """
+        if not self.time_only:
+            raise ProblemError("state required: priority is state-dependent")
+        t = np.asarray(times, dtype=float)
+        out = _PRIORITY_FAMILIES[self.family].value(
+            np.asarray(self.params), self.dim, t, np.zeros((t.size, self.dim))
+        )
+        bad = (out < 0.0) | (out > 1.0)
+        if bad.any():
+            raise ProblemError(
+                f"priority family {self.family!r} left [0, 1] at t={float(t[bad.argmax()])}"
             )
         return out
 

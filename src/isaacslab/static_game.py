@@ -43,10 +43,15 @@ class StaticGameError(ValueError):
 
 
 def _check_prio(prio):
-    """``prio`` as a float array, rejected unless every entry lies in [0, 1]."""
-    p = np.asarray(prio, dtype=float)
+    """A scalar ``prio`` as a float, else as a float array, rejected unless in [0, 1]."""
     # NaN fails both comparisons; the initial values let an empty array pass
-    if not (p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0):
+    if np.ndim(prio) == 0:
+        p = float(prio)
+        ok = 0.0 <= p <= 1.0
+    else:
+        p = np.asarray(prio, dtype=float)
+        ok = p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0
+    if not ok:
         raise StaticGameError(f"priority must lie in [0, 1], got {prio}")
     return p
 
@@ -58,10 +63,17 @@ def mix(prio, lower, upper):
     it is ``upper`` itself, bitwise, so degenerate priorities reproduce
     the one-sided games with no floating-point residue.  Arrays broadcast
     against each other; an all-scalar call returns a float.
+
+    A scalar prio takes one branch for the whole of ``lower`` and
+    ``upper``: it returns ``lower`` (p = 1) or ``upper`` (p = 0) as given,
+    or p * lower + (1 - p) * upper, elementwise bitwise what an array prio
+    of equal entries gives, without the two selection passes.
     """
     p = _check_prio(prio)
-    out = np.where(p == 1.0, lower, np.where(p == 0.0, upper, p * lower + (1.0 - p) * upper))
-    return float(out) if out.ndim == 0 else out
+    if isinstance(p, float):
+        out = lower if p == 1.0 else upper if p == 0.0 else p * lower + (1.0 - p) * upper
+        return float(out) if np.ndim(out) == 0 else out
+    return np.where(p == 1.0, lower, np.where(p == 0.0, upper, p * lower + (1.0 - p) * upper))
 
 
 @dataclass(frozen=True)

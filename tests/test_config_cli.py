@@ -159,7 +159,11 @@ def test_cli_pde_cfl_exit(tmp_path):
 
 
 @pytest.mark.parametrize("stride", [0, -3])
-def test_cli_pde_rejects_output_stride_below_one(tmp_path, capsys, stride):
+def test_cli_pde_rejects_output_stride_below_one(tmp_path, capsys, monkeypatch, stride):
+    def no_march(*args, **kwargs):
+        raise AssertionError("a configured stride must be checked before the march")
+
+    monkeypatch.setattr(cli.pde, "solve", no_march)
     cfg = write_cfg(tmp_path, BILINEAR_CFG + f"pde.output_stride = {stride}\n")
     assert cli.main(["pde", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "pde.output_stride must be at least 1" in capsys.readouterr().err

@@ -229,6 +229,33 @@ def test_forced_coins_match_marks():
     assert np.array_equal(rand.payoffs, det.payoffs)
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    # linear_time reaches p = 0 at t = 0, so the exact endpoint is taken
+    [("constant", (0.3,)), ("linear_time", (0.0, 2.0)), ("logistic", (0.3, -1.0, 0.0))],
+)
+def test_time_only_priority_table_matches_per_node_path(monkeypatch, family, params):
+    # a time-only p is tabulated once per partition; reading it per node and
+    # per path, as a state-dependent p is read, must give the same bits
+    prob = bilinear_problem(prio_family=family, prio_params=params)
+    grid = SpatialGrid(-6.0, 6.0, 161)
+    part = make_uniform_partition(0.0, 0.5, 10)
+    lattice = build_lattice(prob, grid, part)
+
+    def run():
+        tables = dp_value_random(prob, part, lattice)
+        play = simulate(prob, part, RandomMode(CoinSource(4)), tables.strategy_u,
+                        tables.strategy_v, 256, 2, NoiseSource(5), record=8)
+        seconds = np.array([r.who_second for r in play.records])
+        return tables.value.values, play.payoffs, seconds
+
+    tabulated = run()
+    monkeypatch.setattr(PrioritySpec, "time_only", property(lambda self: False))
+    per_node = run()
+    for a, b in zip(tabulated, per_node):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_simulate_replay():
     prob = bilinear_problem()
     grid = SpatialGrid(-6.0, 6.0, 161)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ import pytest
 from helpers import SQRT2, bilinear_problem, singleton_problem
 from isaacslab import pde
 from isaacslab.pde import BlowupError, CflError, PdeError, SpatialGrid, ValueField
-from isaacslab.problem import ActionSet, CoefficientSpec, PayoffSpec, PrioritySpec, ProblemSpec
+from isaacslab.problem import (
+    ActionSet,
+    CoefficientSpec,
+    PayoffSpec,
+    PrioritySpec,
+    ProblemError,
+    ProblemSpec,
+)
 
 seed = 0
 
@@ -205,12 +213,15 @@ COEFFICIENT_CASES = {
     "affine": (0.2, -0.4, 1.2),
     "bilinear": (4.0, SQRT2),
 }
-# linear_time runs from p = 0 at t = 0 to exactly p = 1 at T, so the
-# exact-endpoint branch of the blend is taken on the first step
+# (family, params).  linear_time runs from p = 0 at t = 0 to exactly p = 1
+# at T, so the exact-endpoint branch of the blend is taken on the first
+# step; logistic_time (wx = 0) is tabulated through the batched exp, while
+# logistic is evaluated on the nodes at every step
 PRIORITY_CASES = {
-    "constant": (0.3,),
-    "linear_time": (0.0, 2.0),
-    "logistic": (0.3, -1.0, 0.8),
+    "constant": ("constant", (0.3,)),
+    "linear_time": ("linear_time", (0.0, 2.0)),
+    "logistic": ("logistic", (0.3, -1.0, 0.8)),
+    "logistic_time": ("logistic", (0.3, -1.0, 0.0)),
 }
 
 
@@ -218,7 +229,7 @@ def _pde_problem(coef, prio, u_values=(-1.0, 1.0), v_values=(-1.0, 1.0)):
     return ProblemSpec(
         coefficients=CoefficientSpec(coef, COEFFICIENT_CASES[coef], dim=1, noise_dim=1),
         payoff=PayoffSpec("cosine", (1.0, 1.0), dim=1),
-        priority=PrioritySpec(prio, PRIORITY_CASES[prio], dim=1),
+        priority=PrioritySpec(*PRIORITY_CASES[prio], dim=1),
         actions_u=ActionSet.from_values(u_values),
         actions_v=ActionSet.from_values(v_values),
         horizon=0.5,
@@ -311,3 +322,60 @@ def test_march_raises_blowup_past_the_stability_bound(monkeypatch, ham):
     monkeypatch.setattr(pde, "cfl_max_dt", lambda spec, grid: dt)
     with pytest.raises(BlowupError, match="left the terminal bounds"):
         pde.solve(prob, grid, dt, hamiltonian=ham)
+
+
+@pytest.mark.parametrize("source", ["payoff", "coefficients"])
+def test_march_raises_blowup_on_a_nan_slice(monkeypatch, source):
+    # a NaN at one node fails both bound comparisons of the blow-up check,
+    # whether it sits in the terminal data (NaN bounds) or first appears in
+    # the march (finite bounds, from a NaN diffusion entry at one node)
+    prob = bilinear_problem()
+    grid = SpatialGrid(-8.0, 8.0, 161)
+    dt = pde.cfl_max_dt(prob, grid)
+    if source == "payoff":
+        cosine = ProblemSpec.payoff_values
+
+        def payoff_with_nan(self, X):
+            out = cosine(self, X)
+            out[80] = np.nan
+            return out
+
+        monkeypatch.setattr(ProblemSpec, "payoff_values", payoff_with_nan)
+    else:
+        table = pde.coefficient_table
+
+        def table_with_nan(spec, t, xs):
+            b, s2 = table(spec, t, xs)
+            s2[0, 1, 80] = np.nan
+            return b, s2
+
+        monkeypatch.setattr(pde, "coefficient_table", table_with_nan)
+        monkeypatch.setattr(pde, "cfl_max_dt", lambda spec, grid: dt)
+    for ham in ("mixed", "lower"):
+        with pytest.raises(BlowupError, match="left the terminal bounds"):
+            pde.solve(prob, grid, dt, hamiltonian=ham)
+
+
+@pytest.mark.parametrize(
+    "params, t_first",
+    # p = 0.3 + 2t leaves [0, 1] above t = 0.35, at the first step of the
+    # backward march; p = 1.2 - 2t leaves it below t = 0.1, near the end
+    [((0.3, 2.0), "0.5"), ((1.2, -2.0), "0.09615384615384616")],
+)
+def test_time_only_priority_leaving_unit_interval_raises_before_the_march(
+    monkeypatch, params, t_first
+):
+    # the error names the first step time the march meets outside [0, 1],
+    # as a per-step evaluation would, but is raised before any step is blended
+    prob = bilinear_problem(prio_family="linear_time", prio_params=params)
+    grid = SpatialGrid(-8.0, 8.0, 101)
+    dt = pde.cfl_max_dt(prob, grid)
+    blends = []
+    monkeypatch.setattr(pde, "mix", lambda *args: blends.append(args))
+    message = f"priority family 'linear_time' left [0, 1] at t={t_first}"
+    with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
+        pde.solve(prob, grid, dt, hamiltonian="mixed")
+    assert blends == []
+    # the one-sided modes never read the priority
+    for ham in ("lower", "upper"):
+        assert np.all(np.isfinite(pde.solve(prob, grid, dt, hamiltonian=ham).values))

@@ -13,6 +13,7 @@ from isaacslab.problem import (
     ProblemError,
     coefficient_family_names,
     eval_coefficients,
+    priority_family_names,
     validate_assumptions,
 )
 
@@ -179,6 +180,48 @@ def test_logistic_priority_stays_in_unit_interval():
         vals = prio.value(rng.uniform(0, 1), rng.normal(0, 50, (500, 1)))
         assert vals.min() >= 0.0
         assert vals.max() <= 1.0
+
+
+# one time-only parameter set per registered family; logistic is time-only when wx == 0
+TIME_ONLY_PRIORITIES = {
+    "constant": (0.3,),
+    "linear_time": (0.1, 1.7),
+    "logistic": (0.4, -2.5, 0.0),
+}
+
+
+@pytest.mark.parametrize("family", priority_family_names())
+@pytest.mark.parametrize("d", [1, 3])
+def test_every_priority_family_time_values_match_scalar(family, d):
+    # the solvers tabulate a time-only p once per grid, so entry i must equal
+    # value(times[i], X) bitwise at every node for every registered family
+    params = TIME_ONLY_PRIORITIES[family][:2] + TIME_ONLY_PRIORITIES[family][2:] * d
+    prio = PrioritySpec(family, params, dim=d)
+    assert prio.time_only
+    rng = np.random.default_rng(seed)
+    times = np.concatenate([[0.5], np.sort(rng.uniform(0.0, 0.5, 40)), [0.0]])
+    X = rng.normal(0.0, 5.0, (33, d))
+    X[0] = -X[1]  # a node of each sign, so a product x * 0 yields both signed zeros
+    table = prio.time_values(times)
+    assert table.shape == times.shape
+    for t, p in zip(times, table):
+        assert np.array_equal(prio.value(float(t), X), np.full(X.shape[0], p))
+    assert np.array_equal(prio.time_values(times[::-1]), table[::-1])
+
+
+def test_time_values_range_check_names_first_bad_time_in_given_order():
+    prio = PrioritySpec("linear_time", (0.3, 2.0), dim=1)  # leaves [0, 1] for t > 0.35
+    times = np.linspace(0.0, 0.5, 11)
+    with pytest.raises(ProblemError, match=r"^priority family 'linear_time' left \[0, 1\] at t=0\.4$"):
+        prio.time_values(times)
+    with pytest.raises(ProblemError, match=r"at t=0\.5$"):
+        prio.time_values(times[::-1])
+    assert np.array_equal(prio.time_values(times[:7]), 0.3 + 2.0 * times[:7])
+
+
+def test_time_values_needs_a_time_only_priority():
+    with pytest.raises(ProblemError, match="state-dependent"):
+        PrioritySpec("logistic", (0.0, 0.0, 1.0), dim=1).time_values(np.zeros(3))
 
 
 def test_problem_spec_validation():

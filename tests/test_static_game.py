@@ -79,6 +79,21 @@ def test_mix_exact_endpoints_are_bitwise():
     assert np.array_equal(out[mid], 0.3 * lower[mid] + (1.0 - 0.3) * upper[mid])
 
 
+@pytest.mark.parametrize("prio", [1.0, 0.0, 0.3, 0.5, 0.7, 1.0 - 2.0**-53])
+def test_mix_scalar_priority_matches_equal_array_bitwise(prio):
+    # the scalar path skips the selection passes but must give the array path's bits
+    rng = np.random.default_rng(seed)
+    lower, upper = rng.normal(size=40), rng.normal(size=40)
+    lower[::3], upper[1::3] = -0.0, -0.0
+    lower[2::5], upper[2::5] = 0.0, -0.0
+    for p in (prio, np.float64(prio), np.array(prio)):
+        out = mix(p, lower, upper)
+        expect = mix(np.full(40, prio), lower, upper)
+        assert out.tobytes() == expect.tobytes()
+    if prio in (0.0, 1.0):
+        assert mix(prio, lower, upper) is (lower if prio == 1.0 else upper)
+
+
 def test_mix_scalar_returns_float():
     for prio in (0.25, np.float64(0.25), np.array(0.25)):
         out = mix(prio, -1.0, 1.0)
