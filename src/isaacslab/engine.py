@@ -21,12 +21,17 @@ frozen actions per interval, snapping states to the nearest node for
 strategy lookup while keeping raw states for the dynamics.  Coins and
 Gaussian increments come from separate seeded streams, and one coin per
 interval is always consumed, so trajectories under different priorities
-are driven by identical noise.
+are driven by identical noise.  Several strategy pairs can advance in
+lockstep on one stream of coins and noise (common random numbers): the
+exploitability roster is played that way, so challengers differ by their
+strategies alone and never by their draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -272,9 +277,27 @@ class MarkovStrategyV(_MarkovTable):
     """v's tables: plain action per node, counter map per (node, u-action)."""
 
 
-def _mix_hash(*arrays: np.ndarray) -> np.ndarray:
-    """Deterministic integer mix of equal-length int arrays (splitmix-style)."""
-    acc = np.zeros_like(arrays[0], dtype=np.uint64)
+_U64 = (1 << 64) - 1
+
+
+def _mix_prefix(*values: int) -> int:
+    """The mix of values shared by every path, as a wrapped uint64 Python int."""
+    acc = 0
+    for value in values:
+        acc = (acc + (value & _U64) + 0x9E3779B97F4A7C15) & _U64
+        acc = ((acc ^ (acc >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+        acc = ((acc ^ (acc >> 27)) * 0x94D049BB133111EB) & _U64
+        acc = acc ^ (acc >> 31)
+    return acc
+
+
+def _mix_hash(prefix: int, *arrays: np.ndarray) -> np.ndarray:
+    """Deterministic integer mix (splitmix-style) of equal-length int arrays.
+
+    Continues from ``prefix``, the mix of any leading values equal on every
+    path, so ``_mix_hash(_mix_prefix(a, b), x)`` hashes (a, b, x).
+    """
+    acc = np.uint64(prefix)
     for arr in arrays:
         acc = acc + arr.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
         acc = (acc ^ (acc >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -301,17 +324,11 @@ class _HashFeedback:
 
     def _pick(self, k: int, nodes: np.ndarray, prev, opp: np.ndarray | None) -> np.ndarray:
         last = np.zeros_like(nodes) if prev is None else prev
-        parts = [
-            np.full_like(nodes, self.seed),
-            np.full_like(nodes, k),
-            nodes,
-            last,
-        ]
-        if opp is not None:
-            parts.append(opp)
-        return (_mix_hash(*[p.astype(np.int64) for p in parts]) % np.uint64(
-            self.n_actions
-        )).astype(int)
+        parts = [nodes, last] if opp is None else [nodes, last, opp]
+        acc = _mix_hash(
+            _mix_prefix(self.seed, k), *[p.astype(np.int64, copy=False) for p in parts]
+        )
+        return (acc % np.uint64(self.n_actions)).astype(int)
 
     def plain_actions(self, k: int, nodes: np.ndarray, prev) -> np.ndarray:
         return self._pick(k, nodes, prev, None)
@@ -347,12 +364,17 @@ def random_markov_strategy(
     return cls(grid, tuple(range(rows)), plain, counter)
 
 
-def perturbed_strategy(base: _MarkovTable, flip_fraction: float, seed: int):
-    """Re-randomize a fraction of a Markov table's entries: a local challenger."""
+def perturbed_strategy(base: _MarkovTable, flip_fraction: float, seed: int, n_own: int):
+    """Re-randomize a fraction of a Markov table's entries: a local challenger.
+
+    Replacements are drawn uniformly from the side's ``n_own`` actions, so
+    an action the base table never plays can still be tried.
+    """
     if not 0.0 <= flip_fraction <= 1.0:
         raise EngineError("flip fraction must lie in [0, 1]")
+    if n_own <= max(base.plain.max(), base.counter.max()):
+        raise EngineError("the table plays an action beyond the side's action count")
     rng = np.random.default_rng(seed)
-    n_own = int(max(base.plain.max(), base.counter.max())) + 1
     plain = base.plain.copy()
     counter = base.counter.copy()
     mask_p = rng.random(plain.shape) < flip_fraction
@@ -593,19 +615,74 @@ def simulate(
     compared with that interval's float.  The first ``record`` paths keep
     a full audit trail.
     """
+    return _play(spec, partition, mode, [(strat_u, strat_v)], paths, substeps, noise, record)[0]
+
+
+class _Trail:
+    """Audit buffers for the first ``record`` paths of one pair."""
+
+    def __init__(self, n: int, substeps: int, record: int, d_prime: int, x0: np.ndarray):
+        self.record = record
+        self.sub = np.empty((n * substeps + 1, record))
+        self.sub[0] = x0[:record]
+        self.u = np.empty((n, record), dtype=int)
+        self.v = np.empty((n, record), dtype=int)
+        self.coins = np.full((n, record), np.nan)
+        self.second = np.empty((n, record), dtype=bool)
+        self.noise = np.empty((n, substeps, record, d_prime))
+
+    def paths(self, times: np.ndarray, substeps: int, payoffs: np.ndarray):
+        return tuple(
+            PathRecord(
+                times=times.copy(),
+                states=self.sub[::substeps, i].copy(),
+                substep_states=self.sub[:, i].copy(),
+                u_actions=self.u[:, i].copy(),
+                v_actions=self.v[:, i].copy(),
+                coins=self.coins[:, i].copy(),
+                who_second=self.second[:, i].copy(),
+                noise=self.noise[:, :, i, :].copy(),
+                payoff=float(payoffs[i]),
+            )
+            for i in range(self.record)
+        )
+
+
+def _play(
+    spec: ProblemSpec,
+    partition: Partition,
+    mode: DeterministicMode | RandomMode,
+    pairs,
+    paths: int,
+    substeps: int,
+    noise: NoiseSource,
+    record: int,
+) -> list[SimulationResult]:
+    """Advance several (strat_u, strat_v) pairs together on shared draws.
+
+    Each interval draws one coin vector and each sub-step one
+    (paths, noise_dim) block, and every pair moves on those same draws:
+    common random numbers, so each pair's result is bitwise what it gets
+    when played alone on sources with the same seeds.  The loop is
+    sub-step-major, so one noise block is live at a time.  A time-only or
+    marked rule settles one heads vector per interval for all pairs; a
+    state-dependent p is read at each pair's own states.
+    """
     if spec.dim != 1:
         raise EngineError("the simulator handles state dimension 1")
     if paths < 1 or substeps < 1:
         raise EngineError("need at least one path and one sub-step")
     if not 0 <= record <= paths:
         raise EngineError("record count must lie in [0, paths]")
-    grid = strat_u.grid
-    if strat_v.grid is not grid and (
-        strat_v.grid.lower != grid.lower
-        or strat_v.grid.upper != grid.upper
-        or strat_v.grid.nodes != grid.nodes
-    ):
-        raise EngineError("both strategies must share one lookup grid")
+    for strat_u, strat_v in pairs:
+        grid = strat_u.grid
+        if strat_v.grid is not grid and (
+            strat_v.grid.lower != grid.lower
+            or strat_v.grid.upper != grid.upper
+            or strat_v.grid.nodes != grid.nodes
+        ):
+            raise EngineError("both strategies must share one lookup grid")
+    p_steps = None
     if isinstance(mode, DeterministicMode):
         if not spec.priority.time_only:
             raise ScheduleError("deterministic marks need a time-only priority")
@@ -614,92 +691,80 @@ def simulate(
         xi = mode.marks.array
     elif isinstance(mode, RandomMode):
         xi = None
-        # a time-only p is one float per interval: no per-path array
-        p_steps = (
-            spec.priority.time_values(partition.times[:-1]).tolist()
-            if spec.priority.time_only
-            else None
-        )
+        if spec.priority.time_only:
+            # a time-only p is one float per interval: no per-path array
+            p_steps = spec.priority.time_values(partition.times[:-1]).tolist()
     else:
         raise EngineError("mode must be DeterministicMode or RandomMode")
 
     n = partition.intervals
     d_prime = spec.noise_dim
-    x = np.full(paths, spec.start_state[0], dtype=float)
-    prev = None
-    rec = record
-    if rec:
-        rec_sub = np.empty((n * substeps + 1, rec))
-        rec_sub[0] = x[:rec]
-        rec_u = np.empty((n, rec), dtype=int)
-        rec_v = np.empty((n, rec), dtype=int)
-        rec_coins = np.full((n, rec), np.nan)
-        rec_second = np.empty((n, rec), dtype=bool)
-        rec_noise = np.empty((n, substeps, rec, d_prime))
+    lanes = range(len(pairs))
+    xs = [np.full(paths, spec.start_state[0], dtype=float) for _ in lanes]
+    prevs = [None for _ in lanes]
+    trails = [_Trail(n, substeps, record, d_prime, x) for x in xs] if record else None
 
     for k in range(n):
         t_prev = float(partition.times[k])
         dt = float(partition.steps[k])
-        nodes = grid.nearest_index(x)
-        if xi is None:
+        if xi is not None:
+            heads = np.full(paths, bool(xi[k]))
+            coins = None
+        else:
             coins = mode.coins.uniforms(paths)
             if p_steps is not None:
                 heads = coins < p_steps[k]
-            else:
-                heads = coins < spec.priority_values(t_prev, x[:, None])
-        else:
-            heads = np.full(paths, bool(xi[k]))
-            coins = None
-        u_plain = strat_u.plain_actions(k, nodes, prev)
-        v_plain = strat_v.plain_actions(k, nodes, prev)
-        v_resp = strat_v.counter_actions(k, nodes, prev, u_plain)
-        u_resp = strat_u.counter_actions(k, nodes, prev, v_plain)
-        iu = np.where(heads, u_plain, u_resp)
-        iv = np.where(heads, v_resp, v_plain)
-        U = spec.actions_u.array[iu]
-        V = spec.actions_v.array[iv]
+        frozen = []
+        for i, (strat_u, strat_v) in enumerate(pairs):
+            prev = prevs[i]  # read first, so no older node array outlives this one
+            nodes = strat_u.grid.nearest_index(xs[i])
+            if xi is None and p_steps is None:
+                heads = coins < spec.priority_values(t_prev, xs[i][:, None])
+            u_plain = strat_u.plain_actions(k, nodes, prev)
+            v_plain = strat_v.plain_actions(k, nodes, prev)
+            v_resp = strat_v.counter_actions(k, nodes, prev, u_plain)
+            u_resp = strat_u.counter_actions(k, nodes, prev, v_plain)
+            iu = np.where(heads, u_plain, u_resp)
+            iv = np.where(heads, v_resp, v_plain)
+            frozen.append((spec.actions_u.array[iu], spec.actions_v.array[iv]))
+            prevs[i] = nodes
+            if record:
+                trail = trails[i]
+                trail.u[k] = iu[:record]
+                trail.v[k] = iv[:record]
+                if coins is not None:
+                    trail.coins[k] = coins[:record]
+                trail.second[k] = heads[:record]
         dt_sub = dt / substeps
         for ss in range(substeps):
             t_sub = t_prev + ss * dt_sub
-            b = spec.drift(t_sub, x[:, None], U, V)[:, 0]
-            sig = spec.diffusion(t_sub, x[:, None], U, V)[:, 0, :]
             dW = noise.increments(paths, d_prime, dt_sub)
-            x = x + b * dt_sub + np.sum(sig * dW, axis=1)
-            if rec:
-                rec_sub[k * substeps + ss + 1] = x[:rec]
-                rec_noise[k, ss] = dW[:rec]
-        prev = nodes
-        if rec:
-            rec_u[k] = iu[:rec]
-            rec_v[k] = iv[:rec]
-            if coins is not None:
-                rec_coins[k] = coins[:rec]
-            rec_second[k] = heads[:rec]
+            for i, (U, V) in enumerate(frozen):
+                x = xs[i]
+                b = spec.drift(t_sub, x[:, None], U, V)[:, 0]
+                sig = spec.diffusion(t_sub, x[:, None], U, V)[:, 0, :]
+                xs[i] = x = x + b * dt_sub + np.sum(sig * dW, axis=1)
+                if record:
+                    trails[i].sub[k * substeps + ss + 1] = x[:record]
+                    trails[i].noise[k, ss] = dW[:record]
 
-    payoffs = spec.payoff_values(x[:, None])
-    mean = float(payoffs.mean())
-    se = float(payoffs.std(ddof=1) / np.sqrt(paths)) if paths > 1 else float("inf")
-    records = []
-    for i in range(rec):
-        records.append(
-            PathRecord(
-                times=partition.times.copy(),
-                states=rec_sub[::substeps, i].copy(),
-                substep_states=rec_sub[:, i].copy(),
-                u_actions=rec_u[:, i].copy(),
-                v_actions=rec_v[:, i].copy(),
-                coins=rec_coins[:, i].copy(),
-                who_second=rec_second[:, i].copy(),
-                noise=rec_noise[:, :, i, :].copy(),
-                payoff=float(payoffs[i]),
-            )
-        )
-    return SimulationResult(
-        mean=mean, std_error=se, paths=paths, payoffs=payoffs, records=tuple(records)
-    )
+    results = []
+    for i in lanes:
+        payoffs = spec.payoff_values(xs[i][:, None])
+        mean = float(payoffs.mean())
+        se = float(payoffs.std(ddof=1) / np.sqrt(paths)) if paths > 1 else float("inf")
+        records = trails[i].paths(partition.times, substeps, payoffs) if record else ()
+        results.append(SimulationResult(
+            mean=mean, std_error=se, paths=paths, payoffs=payoffs, records=records
+        ))
+    return results
 
 
 # --- exploitability ------------------------------------------------------------------
+
+# Path-states one lockstep pass of the roster holds: 6 pairs at 20k paths.
+# It bounds a pass's memory; results do not depend on it.
+_PASS_STATES = 2**17
 
 
 @dataclass(frozen=True)
@@ -728,6 +793,46 @@ class ExploitabilityReport:
         return max(self.results, key=lambda r: r.mean)
 
 
+def _roster(
+    spec: ProblemSpec,
+    partition: Partition,
+    side: str,
+    challengers: int,
+    seed: int,
+    tables: GameValueTables,
+) -> list[tuple[str, Callable]]:
+    """Labelled builders of ``side``'s challengers, the first its saddle strategy.
+
+    A challenger is built only when its pass is played, so a pass holds
+    the tables of its own challengers and not the whole roster's.
+    """
+    grid = tables.grid
+    n_own = spec.actions_v.size if side == "v" else spec.actions_u.size
+    n_opp = spec.actions_u.size if side == "v" else spec.actions_v.size
+    dp_opp = tables.strategy_v if side == "v" else tables.strategy_u
+    feedback = HashFeedbackStrategyV if side == "v" else HashFeedbackStrategyU
+    n_rest = challengers - 1
+    n_perturbed = n_rest // 3
+    n_feedback = n_rest // 3
+    n_random = n_rest - n_perturbed - n_feedback
+    roster = [("dp_best_response", lambda: dp_opp)]
+    for i in range(n_perturbed):
+        roster.append(
+            (f"perturbed_{i}", partial(perturbed_strategy, dp_opp, 0.15, seed * 1000 + i, n_own))
+        )
+    for i in range(n_feedback):
+        roster.append((f"feedback_{i}", partial(feedback, grid, n_own, seed * 2000 + i)))
+    for i in range(n_random):
+        roster.append(
+            (
+                f"random_markov_{i}",
+                partial(random_markov_strategy, side, grid, partition, n_own, n_opp,
+                        seed * 3000 + i),
+            )
+        )
+    return roster
+
+
 def exploitability(
     spec: ProblemSpec,
     partition: Partition,
@@ -747,8 +852,12 @@ def exploitability(
     The roster: the backward-induction saddle strategy of the opposing
     side, locally perturbed copies of it, uniformly random Markov tables,
     and hash feedback strategies, all seeded from ``seed``.  Every
-    challenger faces fresh coins and noise (seeds derived from its index)
-    over the same number of paths.
+    challenger plays the same number of paths on common random numbers:
+    the coins of ``CoinSource(seed * 7000)`` and the noise of
+    ``NoiseSource(seed * 9000)``.  The roster is played in lockstep passes
+    of a few pairs that share each draw, and every pass replays those
+    seeds, so each challenger's mean and standard error are bitwise what a
+    solo :func:`simulate` on the same seeds gives.
     """
     if fixed_side not in ("u", "v"):
         raise EngineError("fixed_side must be 'u' or 'v'")
@@ -758,48 +867,24 @@ def exploitability(
         raise EngineError("deterministic mode needs the mark sequence")
     if challengers < 1:
         raise EngineError("need at least one challenger")
-    grid = tables.grid
-    opp_side = "v" if fixed_side == "u" else "u"
-    n_own = spec.actions_v.size if opp_side == "v" else spec.actions_u.size
-    n_opp = spec.actions_u.size if opp_side == "v" else spec.actions_v.size
-    dp_opp = tables.strategy_v if opp_side == "v" else tables.strategy_u
-
-    roster = [("dp_best_response", dp_opp)]
-    n_rest = challengers - 1
-    n_perturbed = n_rest // 3
-    n_feedback = n_rest // 3
-    n_random = n_rest - n_perturbed - n_feedback
-    for i in range(n_perturbed):
-        roster.append(
-            (f"perturbed_{i}", perturbed_strategy(dp_opp, 0.15, seed * 1000 + i))
-        )
-    for i in range(n_feedback):
-        cls = HashFeedbackStrategyV if opp_side == "v" else HashFeedbackStrategyU
-        roster.append((f"feedback_{i}", cls(grid, n_own, seed * 2000 + i)))
-    for i in range(n_random):
-        roster.append(
-            (
-                f"random_markov_{i}",
-                random_markov_strategy(
-                    opp_side, grid, partition, n_own, n_opp, seed * 3000 + i
-                ),
-            )
-        )
-
+    roster = _roster(spec, partition, "v" if fixed_side == "u" else "u", challengers, seed, tables)
+    per_pass = max(1, _PASS_STATES // max(paths, 1))
     results = []
-    for idx, (label, challenger) in enumerate(roster):
+    for lo in range(0, len(roster), per_pass):
+        batch = roster[lo:lo + per_pass]
+        # every pass replays the same seeds, so results ignore the pass size
         if mode_kind == "random":
-            mode = RandomMode(CoinSource(seed * 7000 + idx))
+            mode = RandomMode(CoinSource(seed * 7000))
         else:
             mode = DeterministicMode(marks)
-        noise = NoiseSource(seed * 9000 + idx)
-        if fixed_side == "u":
-            res = simulate(
-                spec, partition, mode, strategy, challenger, paths, substeps, noise
-            )
-        else:
-            res = simulate(
-                spec, partition, mode, challenger, strategy, paths, substeps, noise
-            )
-        results.append(ChallengerResult(label=label, mean=res.mean, std_error=res.std_error))
+        pairs = [
+            (strategy, build()) if fixed_side == "u" else (build(), strategy)
+            for _, build in batch
+        ]
+        plays = _play(spec, partition, mode, pairs, paths, substeps, NoiseSource(seed * 9000), 0)
+        results += [
+            ChallengerResult(label=label, mean=res.mean, std_error=res.std_error)
+            for (label, _), res in zip(batch, plays)
+        ]
+        del pairs, plays  # release this pass's tables before the next is built
     return ExploitabilityReport(fixed_side=fixed_side, results=tuple(results))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from isaacslab.engine import (
 )
 from isaacslab.pde import SpatialGrid
 from isaacslab.problem import ActionSet, CoefficientSpec, PayoffSpec, PrioritySpec, ProblemSpec
-from isaacslab.schedule import MarkSequence, Partition, SubGrid, make_uniform_partition
+from isaacslab.schedule import MarkSequence, Partition, SubGrid, make_marks, make_uniform_partition
 
 seed = 0
 
@@ -358,8 +359,8 @@ def test_strategy_builders_deterministic():
     c = random_markov_strategy("u", grid, part, 2, 2, 12)
     assert np.array_equal(a.plain, b.plain) and np.array_equal(a.counter, b.counter)
     assert not (np.array_equal(a.plain, c.plain) and np.array_equal(a.counter, c.counter))
-    pa = perturbed_strategy(a, 0.15, 5)
-    pb = perturbed_strategy(a, 0.15, 5)
+    pa = perturbed_strategy(a, 0.15, 5, 2)
+    pb = perturbed_strategy(a, 0.15, 5, 2)
     assert isinstance(pa, MarkovStrategyU)
     assert np.array_equal(pa.plain, pb.plain) and np.array_equal(pa.counter, pb.counter)
     # a 15% flip changes some entries but not most
@@ -540,3 +541,162 @@ def test_simulation_tracks_dp_value():
         20_000, 2, NoiseSource(22),
     )
     assert abs(res.mean - v0) <= 3.0 * res.std_error
+
+
+# --- lockstep roster on common random numbers ---------------------------------------
+
+
+def _oracle_mix_hash(*arrays):
+    """The full-array mix that hashed seed and interval as per-path arrays."""
+    acc = np.zeros_like(arrays[0], dtype=np.uint64)
+    for arr in arrays:
+        acc = acc + arr.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+        acc = (acc ^ (acc >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        acc = (acc ^ (acc >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        acc = acc ^ (acc >> np.uint64(31))
+    return acc
+
+
+@pytest.mark.parametrize("seed_value", [0, 9, -12345, 2**40 + 7, 2**63 - 1, -(2**63)])
+def test_hash_feedback_prefix_matches_full_array_mix(seed_value):
+    grid = SpatialGrid(-6.0, 6.0, 121)
+    nodes = np.arange(121)
+    prev = nodes[::-1].copy()
+    opp = nodes % 3
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_actions in (2, 3, 7):
+            strat = HashFeedbackStrategyU(grid, n_actions, seed_value)
+            for k in (0, 1, 99, 1599):
+                seed_arr = np.full_like(nodes, seed_value)
+                k_arr = np.full_like(nodes, k)
+                last = np.zeros_like(nodes) if k == 0 else prev
+                want_plain = _oracle_mix_hash(seed_arr, k_arr, nodes, last) % np.uint64(n_actions)
+                want_counter = _oracle_mix_hash(seed_arr, k_arr, nodes, last, opp) % np.uint64(
+                    n_actions
+                )
+                hist = None if k == 0 else prev
+                got_plain = strat.plain_actions(k, nodes, hist)
+                got_counter = strat.counter_actions(k, nodes, hist, opp)
+                assert got_plain.tobytes() == want_plain.astype(int).tobytes()
+                assert got_counter.tobytes() == want_counter.astype(int).tobytes()
+
+
+def test_perturbed_strategy_tries_an_action_the_base_never_plays():
+    grid = SpatialGrid(-6.0, 6.0, 31)
+    part = make_uniform_partition(0.0, 0.5, 6)
+    base = random_markov_strategy("v", grid, part, 2, 2, 4)  # actions {0, 1} only
+    flipped = perturbed_strategy(base, 0.5, 8, 3)
+    assert flipped.plain.max() == 2 and flipped.counter.max() == 2
+    assert np.array_equal(np.unique(flipped.plain), [0, 1, 2])
+    with pytest.raises(EngineError):
+        perturbed_strategy(base, 0.5, 8, 1)
+
+
+def test_exploitability_perturbs_over_the_sides_action_count(monkeypatch):
+    # v has three actions; the perturbed challengers must draw from all three
+    prob = ProblemSpec(
+        coefficients=CoefficientSpec("bilinear", (4.0, SQRT2), dim=1, noise_dim=1),
+        payoff=PayoffSpec("cosine", (1.0, 1.0), dim=1),
+        priority=PrioritySpec("constant", (0.5,), dim=1),
+        actions_u=ActionSet.from_values((-1.0, 1.0)),
+        actions_v=ActionSet.from_values((-1.0, 0.0, 1.0)),
+        horizon=0.5,
+    )
+    grid = SpatialGrid(-6.0, 6.0, 61)
+    part = make_uniform_partition(0.0, 0.5, 5)
+    tables = dp_value_random(prob, part, build_lattice(prob, grid, part))
+    seen = []
+    real = engine.perturbed_strategy
+
+    def spy(base, flip_fraction, seed, n_own):
+        seen.append(n_own)
+        return real(base, flip_fraction, seed, n_own)
+
+    monkeypatch.setattr(engine, "perturbed_strategy", spy)
+    exploitability(prob, part, "random", "u", tables.strategy_u, 7, 2,
+                   tables=tables, paths=50, substeps=1)
+    exploitability(prob, part, "random", "v", tables.strategy_v, 7, 2,
+                   tables=tables, paths=50, substeps=1)
+    assert seen == [3, 3, 2, 2]
+
+
+def _roster_cases():
+    grid = SpatialGrid(-6.0, 6.0, 121)
+    part = make_uniform_partition(0.0, 0.5, 10)
+    time_only = bilinear_problem()
+    logistic = bilinear_problem(prio_family="logistic", prio_params=(0.3, -1.0, 0.8))
+    marks, subgrid = make_marks(part, time_only.priority, 2)
+    return {
+        "time_only": (time_only, grid, part, None, None),
+        "logistic": (logistic, grid, part, None, None),
+        "marks": (time_only, grid, part, marks, subgrid),
+    }
+
+
+def _roster_tables(case):
+    prob, grid, part, marks, subgrid = _roster_cases()[case]
+    lattice = build_lattice(prob, grid, part)
+    if marks is None:
+        return prob, part, marks, dp_value_random(prob, part, lattice)
+    return prob, part, marks, dp_value_deterministic(prob, part, marks, subgrid, lattice)
+
+
+@pytest.mark.parametrize("case", ["time_only", "logistic", "marks"])
+def test_roster_challengers_equal_solo_simulate_on_common_seeds(case):
+    prob, part, marks, tables = _roster_tables(case)
+    roster_seed, paths, substeps = 3, 300, 2
+    for side in ("u", "v"):
+        frozen = tables.strategy_u if side == "u" else tables.strategy_v
+        report = exploitability(
+            prob, part, "deterministic" if marks else "random", side, frozen, 10,
+            roster_seed, tables=tables, marks=marks, paths=paths, substeps=substeps,
+        )
+        roster = engine._roster(prob, part, "v" if side == "u" else "u", 10, roster_seed, tables)
+        assert [r.label for r in report.results] == [label for label, _ in roster]
+        for got, (_, build) in zip(report.results, roster):
+            challenger = build()
+            mode = DeterministicMode(marks) if marks else RandomMode(CoinSource(roster_seed * 7000))
+            pair = (frozen, challenger) if side == "u" else (challenger, frozen)
+            solo = simulate(prob, part, mode, *pair, paths, substeps,
+                            NoiseSource(roster_seed * 9000))
+            assert (got.mean, got.std_error) == (solo.mean, solo.std_error)
+
+
+@pytest.mark.parametrize("case", ["time_only", "logistic", "marks"])
+def test_roster_results_ignore_the_pass_size(monkeypatch, case):
+    prob, part, marks, tables = _roster_tables(case)
+    paths = 200
+
+    def roster():
+        return [
+            exploitability(
+                prob, part, "deterministic" if marks else "random", side,
+                tables.strategy_u if side == "u" else tables.strategy_v, 10, 5,
+                tables=tables, marks=marks, paths=paths, substeps=2,
+            ).results
+            for side in ("u", "v")
+        ]
+
+    default = roster()
+    monkeypatch.setattr(engine, "_PASS_STATES", paths)  # one pair per pass
+    one_each = roster()
+    monkeypatch.setattr(engine, "_PASS_STATES", 10 * paths)  # the whole roster at once
+    all_at_once = roster()
+    assert one_each == default == all_at_once
+
+
+def test_lockstep_pass_draws_each_shared_block_once():
+    prob = bilinear_problem(prio_family="logistic", prio_params=(0.3, -1.0, 0.8))
+    grid = SpatialGrid(-6.0, 6.0, 121)
+    part = make_uniform_partition(0.0, 0.5, 10)
+    tables = dp_value_random(prob, part, build_lattice(prob, grid, part))
+    challengers = [random_markov_strategy("v", grid, part, 2, 2, s) for s in range(3)]
+    paths, substeps = 64, 3
+    coins, noise = CoinSource(1), NoiseSource(2)
+    plays = engine._play(prob, part, RandomMode(coins),
+                         [(tables.strategy_u, c) for c in challengers],
+                         paths, substeps, noise, 0)
+    assert len(plays) == 3
+    assert coins.draws == part.intervals * paths
+    assert noise.draws == part.intervals * substeps * paths * prob.noise_dim
