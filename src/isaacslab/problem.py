@@ -112,12 +112,21 @@ class ActionSet:
 # the lattice build one action-pair table and use it at every time, so a
 # family whose coefficients moved with t would be solved wrongly;
 # test_every_coefficient_family_ignores_time checks every registered family.
+#
+# Each family also declares ``state_independent``: True when drift and
+# diffusion ignore X as well, so one action-pair table serves every state.
+# Forward play then freezes each path's coefficients per interval, reading
+# them from that table once the actions are chosen, instead of evaluating
+# the family at every Euler sub-step;
+# test_every_coefficient_family_state_independent_is_honest checks the
+# declaration of every registered family.
 
 
 class _ConstantCoefficients:
     """b and sigma constant in (t, x, u, v): params = [b (d), sigma rows (d*d')]"""
 
     name = "constant"
+    state_independent = True
 
     @staticmethod
     def param_count(d: int, d_prime: int) -> int:
@@ -154,6 +163,7 @@ class _AffineCoefficients:
     """
 
     name = "affine"
+    state_independent = False
 
     @staticmethod
     def param_count(d: int, d_prime: int) -> int:
@@ -194,6 +204,7 @@ class _BilinearCoefficients:
     """
 
     name = "bilinear"
+    state_independent = True
 
     @staticmethod
     def param_count(d: int, d_prime: int) -> int:
@@ -264,6 +275,11 @@ class CoefficientSpec:
     @property
     def _fam(self):
         return _COEFFICIENT_FAMILIES[self.family]
+
+    @property
+    def state_independent(self) -> bool:
+        """True when the family's drift and diffusion ignore the state X."""
+        return self._fam.state_independent
 
     def drift(self, t: float, X: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         return self._fam.drift(

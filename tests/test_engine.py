@@ -498,12 +498,15 @@ LATTICE_COEFFICIENTS = {
 }
 
 
-def _lattice_problem(coef, u_values=(-1.0, 1.0), v_values=(-1.0, 1.0), noise_dim=None):
+def _lattice_problem(
+    coef, u_values=(-1.0, 1.0), v_values=(-1.0, 1.0), noise_dim=None,
+    priority=("constant", (0.5,)),
+):
     params, d_prime = LATTICE_COEFFICIENTS[coef]
     return ProblemSpec(
         coefficients=CoefficientSpec(coef, params, dim=1, noise_dim=noise_dim or d_prime),
         payoff=PayoffSpec("cosine", (1.0, 1.0), dim=1),
-        priority=PrioritySpec("constant", (0.5,), dim=1),
+        priority=PrioritySpec(*priority, dim=1),
         actions_u=ActionSet.from_values(u_values),
         actions_v=ActionSet.from_values(v_values),
         horizon=0.5,
@@ -580,6 +583,23 @@ def test_hash_feedback_prefix_matches_full_array_mix(seed_value):
                 got_counter = strat.counter_actions(k, nodes, hist, opp)
                 assert got_plain.tobytes() == want_plain.astype(int).tobytes()
                 assert got_counter.tobytes() == want_counter.astype(int).tobytes()
+
+
+def test_mix_hash_in_place_matches_oracle():
+    rng = np.random.default_rng(seed)
+    info = np.iinfo(np.int64)
+    arrays = [rng.integers(info.min, info.max, 20_000, endpoint=True) for _ in range(2)]
+    arrays[0][:2] = info.min, info.max
+    arrays.append(rng.integers(-50, 50, 20_000).astype(np.int32))
+    lead = np.full(20_000, -7)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = engine._mix_hash(0, *arrays)
+        want = _oracle_mix_hash(*arrays)
+        assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
+        # a prefix continues the mix of leading values equal on every path
+        got = engine._mix_hash(engine._mix_prefix(-7), arrays[0])
+        assert got.tobytes() == _oracle_mix_hash(lead, arrays[0]).tobytes()
 
 
 def test_perturbed_strategy_tries_an_action_the_base_never_plays():
@@ -700,3 +720,150 @@ def test_lockstep_pass_draws_each_shared_block_once():
     assert len(plays) == 3
     assert coins.draws == part.intervals * paths
     assert noise.draws == part.intervals * substeps * paths * prob.noise_dim
+
+
+# --- forward play against the per-sub-step oracle -------------------------------------
+
+
+def _oracle_actions(strat, k, nodes, prev, opp=None):
+    """A Markov table's actions by two-index gathers; other strategies answer themselves."""
+    if isinstance(strat, engine._MarkovTable):
+        row = strat._row(k)
+        return strat.plain[row, nodes] if opp is None else strat.counter[row, nodes, opp]
+    if opp is None:
+        return strat.plain_actions(k, nodes, prev)
+    return strat.counter_actions(k, nodes, prev, opp)
+
+
+def _oracle_play(spec, part, marks, strat_u, strat_v, paths, substeps, coin_seed, noise_seed):
+    """One pair played with drift and diffusion evaluated at every Euler sub-step.
+
+    Returns the payoffs, the sub-step states (one row per Euler point) and
+    the noise blocks (one per sub-step).
+    """
+    coins, noise = CoinSource(coin_seed), NoiseSource(noise_seed)
+    x = np.full(paths, spec.start_state[0])
+    states, blocks = [x], []
+    prev = None
+    for k in range(part.intervals):
+        t_prev = float(part.times[k])
+        dt_sub = float(part.steps[k]) / substeps
+        nodes = strat_u.grid.nearest_index(x)
+        if marks is None:
+            heads = coins.uniforms(paths) < spec.priority_values(t_prev, x[:, None])
+        else:
+            heads = np.full(paths, bool(marks.array[k]))
+        u_plain = _oracle_actions(strat_u, k, nodes, prev)
+        v_plain = _oracle_actions(strat_v, k, nodes, prev)
+        v_resp = _oracle_actions(strat_v, k, nodes, prev, u_plain)
+        u_resp = _oracle_actions(strat_u, k, nodes, prev, v_plain)
+        U = spec.actions_u.array[np.where(heads, u_plain, u_resp)]
+        V = spec.actions_v.array[np.where(heads, v_resp, v_plain)]
+        prev = nodes
+        for ss in range(substeps):
+            t_sub = t_prev + ss * dt_sub
+            dW = noise.increments(paths, spec.noise_dim, dt_sub)
+            b = spec.drift(t_sub, x[:, None], U, V)[:, 0]
+            sig = spec.diffusion(t_sub, x[:, None], U, V)[:, 0, :]
+            x = x + b * dt_sub + np.sum(sig * dW, axis=1)
+            states.append(x)
+            blocks.append(dW)
+    return spec.payoff_values(x[:, None]), np.array(states), np.array(blocks)
+
+
+# (family, noise columns, u actions); bilinear is the family whose drift moves with
+# the actions, so its 3 x 2 case checks the iu * kv + iv layout of the pair table
+PLAY_PROBLEMS = {
+    "constant": ("constant", None, (-1.0, 1.0)),
+    "affine": ("affine", None, (-1.0, 1.0)),
+    "bilinear": ("bilinear", None, (-1.0, 1.0)),
+    "bilinear_d3": ("bilinear", 3, (-1.0, 1.0)),
+    "bilinear_3x2": ("bilinear", None, (-1.0, 0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("rule", ["time_only", "logistic", "marks"])
+@pytest.mark.parametrize("case", sorted(PLAY_PROBLEMS))
+def test_play_matches_per_substep_oracle_bitwise(case, rule):
+    coef, noise_dim, u_values = PLAY_PROBLEMS[case]
+    prio = ("logistic", (0.3, -1.0, 0.8)) if rule == "logistic" else ("constant", (0.5,))
+    prob = _lattice_problem(coef, u_values, noise_dim=noise_dim, priority=prio)
+    grid = SpatialGrid(-6.0, 6.0, 121)
+    # unequal steps, so a drift step frozen with another interval's dt shows
+    part = Partition(np.array([0.0, 0.05, 0.12, 0.3, 0.5]))
+    lattice = build_lattice(prob, grid, part)
+    marks = None
+    if rule == "marks":
+        marks, subgrid = make_marks(part, prob.priority, 2)
+        tables = dp_value_deterministic(prob, part, marks, subgrid, lattice)
+    else:
+        tables = dp_value_random(prob, part, lattice)
+    su, sv = tables.strategy_u, tables.strategy_v
+    paths, substeps, record = 300, 3, 5
+    mode = DeterministicMode(marks) if marks else RandomMode(CoinSource(4))
+    play = simulate(prob, part, mode, su, sv, paths, substeps, NoiseSource(5), record=record)
+    payoffs, states, blocks = _oracle_play(prob, part, marks, su, sv, paths, substeps, 4, 5)
+    assert play.payoffs.tobytes() == payoffs.tobytes()
+    noise_shape = (part.intervals, substeps, prob.noise_dim)
+    for i, rec in enumerate(play.records):
+        assert rec.substep_states.tobytes() == states[:, i].tobytes()
+        assert rec.noise.tobytes() == blocks[:, i].reshape(noise_shape).tobytes()
+
+    roster_seed, challengers = 2, 4
+    for side in ("u", "v"):
+        frozen = su if side == "u" else sv
+        report = exploitability(
+            prob, part, "deterministic" if marks else "random", side, frozen, challengers,
+            roster_seed, tables=tables, marks=marks, paths=paths, substeps=substeps,
+        )
+        roster = engine._roster(prob, part, "v" if side == "u" else "u", challengers,
+                                roster_seed, tables)
+        for got, (_, build) in zip(report.results, roster):
+            pair = (frozen, build()) if side == "u" else (build(), frozen)
+            payoffs = _oracle_play(prob, part, marks, *pair, paths, substeps,
+                                   roster_seed * 7000, roster_seed * 9000)[0]
+            assert got.mean == float(payoffs.mean())
+            assert got.std_error == float(payoffs.std(ddof=1) / np.sqrt(paths))
+
+
+@pytest.mark.parametrize("coef", ["bilinear", "affine"])
+def test_out_of_range_actions_raise_engine_error(coef):
+    # a 2-action side whose table plays action 2: as a leader the opponent's
+    # counter map is read past its row, as a responder the pair table would be
+    prob = _lattice_problem(coef)
+    grid = SpatialGrid(-6.0, 6.0, 61)
+    part = make_uniform_partition(0.0, 0.5, 4)
+    tables = dp_value_random(prob, part, build_lattice(prob, grid, part))
+    n = grid.nodes
+    ok_plain, ok_counter = np.zeros((1, n), int), np.zeros((1, n, 2), int)
+    bad_plain, bad_counter = np.full((1, n), 2), np.full((1, n, 2), 2)
+    cases = [
+        # (side, plain, counter, mark: 1 when v responds)
+        ("u", bad_plain, ok_counter, 1),
+        ("u", ok_plain, bad_counter, 0),
+        ("v", bad_plain, ok_counter, 0),
+        ("v", ok_plain, bad_counter, 1),
+    ]
+    for side, plain, counter, mark in cases:
+        cls = MarkovStrategyU if side == "u" else MarkovStrategyV
+        bad = cls(grid, (0,), plain, counter)
+        marks = MarkSequence((mark,) * part.intervals)
+        pair = (bad, tables.strategy_v) if side == "u" else (tables.strategy_u, bad)
+        with pytest.raises(EngineError):
+            simulate(prob, part, DeterministicMode(marks), *pair, 64, 2, NoiseSource(2))
+        with pytest.raises(EngineError):
+            exploitability(prob, part, "deterministic", side, bad, 3, 1, tables=tables,
+                           marks=marks, paths=64, substeps=1)
+
+
+def test_counter_actions_reject_an_opponent_index_past_the_row():
+    grid = SpatialGrid(-1.0, 1.0, 5)
+    counter = np.arange(10).reshape(1, 5, 2) % 2
+    strat = MarkovStrategyV(grid, (0,), np.zeros((1, 5), int), counter)
+    nodes = np.array([0, 3, 4])
+    got = strat.counter_actions(0, nodes, None, np.array([1, 0, 1]))
+    assert got.tolist() == counter[0, nodes, [1, 0, 1]].tolist()
+    # opp = 2 at node 0 would read node 1's first entry through a flat index
+    for opp in (2, -1):
+        with pytest.raises(EngineError):
+            strat.counter_actions(0, np.array([0]), None, np.array([opp]))

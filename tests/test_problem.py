@@ -112,6 +112,27 @@ def test_every_coefficient_family_ignores_time(family):
     assert np.array_equal(coeff.diffusion(0.0, X, U, V), coeff.diffusion(horizon, X, U, V))
 
 
+@pytest.mark.parametrize("family", coefficient_family_names())
+def test_every_coefficient_family_state_independent_is_honest(family):
+    # forward play reads a state-independent family from one action-pair table
+    # built at X = 0, so drift and diffusion at any X must equal it bitwise
+    rng = np.random.default_rng(seed)
+    d = d_prime = 2
+    count = problem._COEFFICIENT_FAMILIES[family].param_count(d, d_prime)
+    coeff = CoefficientSpec(family, rng.uniform(-2.0, 2.0, count), dim=d, noise_dim=d_prime)
+    assert coeff.state_independent is problem._COEFFICIENT_FAMILIES[family].state_independent
+    if family == "affine":
+        assert coeff.state_independent is False
+    if not coeff.state_independent:
+        return
+    X = rng.normal(0.0, 5.0, (64, d))
+    zero = np.zeros_like(X)
+    U = rng.uniform(-1.0, 1.0, (64, 2))
+    V = rng.uniform(-1.0, 1.0, (64, 2))
+    assert np.array_equal(coeff.drift(0.0, X, U, V), coeff.drift(0.0, zero, U, V))
+    assert np.array_equal(coeff.diffusion(0.0, X, U, V), coeff.diffusion(0.0, zero, U, V))
+
+
 @pytest.mark.parametrize(
     "family,params",
     [
