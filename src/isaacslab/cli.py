@@ -119,11 +119,11 @@ def _prefix(cfg: Config, command: str) -> str:
 
 
 def _field_csv(path: Path, field: pde.ValueField, row_indices) -> None:
+    """One row per time index; rows are built as they are written, not held."""
     header = ["time"] + [repr(float(x)) for x in field.grid.xs]
-    rows = [
-        [float(field.times[k])] + [float(v) for v in field.values[k]]
-        for k in row_indices
-    ]
+    rows = (
+        [float(field.times[k])] + field.values[k].tolist() for k in row_indices
+    )
     write_csv(path, header, rows)
 
 
@@ -320,15 +320,13 @@ def _cmd_dp(cfg: Config, out: Path, prefix: str) -> list[str]:
     )
     outputs = [name, sname]
     if cfg.get_int("dp.write_strategies", 0):
-        rows = []
-        xs = tables.grid.xs
-        for r, start in enumerate(tables.strategy_u.starts):
-            for j in range(tables.grid.nodes):
-                rows.append(
-                    [start, float(xs[j]),
-                     int(tables.strategy_u.plain[r, j]),
-                     int(tables.strategy_v.plain[r, j])]
-                )
+        xs = tables.grid.xs.tolist()
+        u_plain, v_plain = tables.strategy_u.plain, tables.strategy_v.plain
+        rows = (
+            [start, x, u, v]
+            for r, start in enumerate(tables.strategy_u.starts)
+            for x, u, v in zip(xs, u_plain[r].tolist(), v_plain[r].tolist())
+        )
         stname = f"{prefix}_dp_strategies.csv"
         write_csv(out / stname, ["interval_start", "x", "u_plain", "v_plain"], rows)
         outputs.append(stname)
@@ -356,14 +354,15 @@ def _cmd_simulate(cfg: Config, out: Path, prefix: str) -> list[str]:
     )
     outputs = [name]
     if record:
-        rows = []
-        for i, recd in enumerate(result.records):
-            for k in range(part.intervals):
-                rows.append(
-                    [i, k, float(recd.times[k]), float(recd.states[k]),
-                     int(recd.u_actions[k]), int(recd.v_actions[k]),
-                     float(recd.coins[k]), bool(recd.who_second[k])]
-                )
+        rows = (
+            [i, k, t, x, u, v, coin, second]
+            for i, recd in enumerate(result.records)
+            for k, t, x, u, v, coin, second in zip(
+                range(part.intervals), recd.times.tolist(), recd.states.tolist(),
+                recd.u_actions.tolist(), recd.v_actions.tolist(),
+                recd.coins.tolist(), recd.who_second.tolist(),
+            )
+        )
         rname = f"{prefix}_paths.csv"
         write_csv(
             out / rname,

@@ -4,6 +4,9 @@ The continuous dynamics are replaced by a controlled lattice chain: from
 node x over interval [t_k, t_k+1] with actions (u, v), the state moves to
 x + b dt + sigma sqrt(dt) zeta_q with Gauss-Hermite abscissas zeta_q and
 weights w_q, matching the Gaussian one-step mean and variance exactly.
+Successors depend on the interval only through dt, so they are stored once
+per distinct step (a uniform partition has a handful), and the lattice's
+``expect`` method is the one-step expectation the backward sweep reads.
 Off-lattice successors are evaluated by linear interpolation, which keeps
 the backward operator monotone; queries beyond the grid clamp to the edge
 value, the probabilistic counterpart of the solver's zero-slope boundary.
@@ -126,8 +129,13 @@ class CoinSource:
 class TransitionModel:
     """Gauss-Hermite successor positions for every (interval, node, u, v).
 
-    ``successors`` has shape (intervals, nodes, ku, kv, q) and holds raw
-    (unclamped) positions; interpolation clamps at query time.
+    A successor depends on the interval only through its step dt_k, so the
+    positions are stored once per distinct step: ``slabs`` has shape
+    (distinct steps, nodes, ku, kv, q) and interval k reads slab
+    ``slab_of[k]``.  Positions are raw (unclamped); interpolation clamps
+    at query time.  ``expect`` is the one place where successors meet a
+    value slice.  ``successors`` assembles the full (intervals, nodes, ku,
+    kv, q) tensor, a new array on every access, for checks that want it.
     ``max_protrusion`` records how far any successor leaves the domain.
     """
 
@@ -135,12 +143,29 @@ class TransitionModel:
     partition: Partition
     quad_nodes: np.ndarray
     quad_weights: np.ndarray
-    successors: np.ndarray
+    slabs: np.ndarray
+    slab_of: np.ndarray
     max_protrusion: float
 
     @property
     def quad_points(self) -> int:
         return self.quad_nodes.size
+
+    @property
+    def successors(self) -> np.ndarray:
+        """The (intervals, nodes, ku, kv, q) tensor, assembled anew on each access."""
+        return self.slabs[self.slab_of]
+
+    def expect(self, k: int, values: np.ndarray) -> np.ndarray:
+        """One-step expectation of the node values over interval k, shape (nodes, ku, kv).
+
+        The successors are interpolated linearly in ``values`` (one entry
+        per grid node, clamped beyond the edges) and weighted by the
+        quadrature weights.
+        """
+        succ = self.slabs[self.slab_of[k]]
+        contin = np.interp(succ.ravel(), self.grid.xs, values).reshape(succ.shape)
+        return contin @ self.quad_weights
 
     def moment_errors(self, spec: ProblemSpec) -> tuple[float, float]:
         """Worst absolute error of lattice mean and variance vs b dt and sigma^2 dt."""
@@ -149,8 +174,10 @@ class TransitionModel:
         err_mean = 0.0
         err_var = 0.0
         b, s2 = _lattice_table(spec, xs, self.partition)
-        for k, dt in enumerate(self.partition.steps.tolist()):
-            succ = self.successors[k]
+        # every interval of a slab has the slab's step, bit for bit
+        dts = np.empty(self.slabs.shape[0])
+        dts[self.slab_of] = self.partition.steps
+        for dt, succ in zip(dts.tolist(), self.slabs):
             mean = succ @ w
             var = ((succ - mean[..., None]) ** 2) @ w
             err_mean = max(err_mean, float(np.max(np.abs(mean - (xs[:, None, None] + b * dt)))))
@@ -180,10 +207,12 @@ def build_lattice(
     partition: Partition,
     quad_points: int = 3,
 ) -> TransitionModel:
-    """Tabulate successor positions for all intervals, nodes and action pairs.
+    """Tabulate successor positions for every distinct step, node and action pair.
 
-    The partition must end at the horizon (the terminal slice carries g)
-    and start no earlier than time zero.  Raises
+    Intervals of equal step share one slab, computed from that step as a
+    Python float, so each slab is bitwise the successors of every interval
+    it stands for.  The partition must end at the horizon (the terminal
+    slice carries g) and start no earlier than time zero.  Raises
     :class:`GridTooCoarseError` when a single step can overshoot half the
     domain width: no amount of clamping makes such a lattice meaningful.
     """
@@ -196,12 +225,14 @@ def build_lattice(
     zeta, w = _gauss_hermite_unit(quad_points)
     xs = grid.xs
     ku, kv = spec.actions_u.size, spec.actions_v.size
-    succ = np.empty((partition.intervals, xs.size, ku, kv, quad_points))
+    dts, slab_of = np.unique(partition.steps, return_inverse=True)
+    slabs = np.empty((dts.size, xs.size, ku, kv, quad_points))
     b, s2 = _lattice_table(spec, xs, partition)
-    for k, dt in enumerate(partition.steps.tolist()):
-        succ[k] = xs[:, None, None, None] + b[..., None] * dt + np.sqrt(s2)[..., None] * np.sqrt(dt) * zeta
+    for j, dt in enumerate(dts.tolist()):
+        slabs[j] = xs[:, None, None, None] + b[..., None] * dt + np.sqrt(s2)[..., None] * np.sqrt(dt) * zeta
+    slabs.flags.writeable = False
     protrusion = max(
-        float(grid.lower - succ.min()), float(succ.max() - grid.upper), 0.0
+        float(grid.lower - slabs.min()), float(slabs.max() - grid.upper), 0.0
     )
     if protrusion > 0.5 * (grid.upper - grid.lower):
         raise GridTooCoarseError(
@@ -213,7 +244,8 @@ def build_lattice(
         partition=partition,
         quad_nodes=zeta,
         quad_weights=w,
-        successors=succ,
+        slabs=slabs,
+        slab_of=slab_of,
         max_protrusion=protrusion,
     )
 
@@ -465,11 +497,8 @@ def _dp_sweep(
     v_counter = np.zeros((rows, grid.nodes, ku), dtype=int)
     start_lookup = {k: r for r, k in enumerate(strategy_starts)}
     worst = 0.0
-    w = lattice.quad_weights
     for k in range(n - 1, -1, -1):
-        succ = lattice.successors[k]
-        contin = np.interp(succ.ravel(), xs, values[k + 1]).reshape(succ.shape)
-        f = contin @ w
+        f = lattice.expect(k, values[k + 1])
         row_floor = f.min(axis=2)
         lower = row_floor.max(axis=1)
         col_ceil = f.max(axis=1)
@@ -801,7 +830,14 @@ def _play(
                     U, V = lane
                     bh = spec.drift(t_sub, x[:, None], U, V)[:, 0] * dt_sub
                     sig = spec.diffusion(t_sub, x[:, None], U, V)[:, 0, :]
-                xs[i] = x = x + bh + np.sum(sig * dW, axis=1)
+                if d_prime == 1:
+                    # np.sum adds from the identity 0.0, which turns a -0.0
+                    # product into +0.0; the column plus 0.0 keeps those bits
+                    sdw = sig[:, 0] * dW[:, 0]
+                    sdw += 0.0
+                else:
+                    sdw = np.sum(sig * dW, axis=1)
+                xs[i] = x = x + bh + sdw
                 if record:
                     trails[i].sub[k * substeps + ss + 1] = x[:record]
                     trails[i].noise[k, ss] = dW[:record]

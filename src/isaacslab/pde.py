@@ -101,9 +101,17 @@ class SpatialGrid:
         return np.clip(x, self.lower, self.upper)
 
     def nearest_index(self, x: np.ndarray) -> np.ndarray:
-        """Index of the closest node, clamped to the grid."""
-        idx = np.rint((np.asarray(x, dtype=float) - self.lower) / self.dx)
-        return np.clip(idx, 0, self.nodes - 1).astype(int)
+        """Index of the closest node, clamped to the grid.
+
+        Works in place on one float buffer: forward play calls this once
+        per interval and strategy pair on every path.
+        """
+        idx = np.asarray(np.subtract(x, self.lower, dtype=float))
+        np.divide(idx, self.dx, out=idx)
+        np.rint(idx, out=idx)
+        np.maximum(idx, 0.0, out=idx)
+        np.minimum(idx, self.nodes - 1, out=idx)
+        return idx.astype(int)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import csv
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,37 @@ def test_write_csv_quoting(tmp_path):
     assert header == ["a", "b"]
     assert rows[0] == ['has,comma and "quote"', "1"]
     assert rows[1] == ["0.5", "2"]
+
+
+def _oracle_field_rows(field, row_indices):
+    """A value CSV's rows as lists of Python floats, all built before writing."""
+    return [
+        [float(field.times[k])] + [float(v) for v in field.values[k]]
+        for k in row_indices
+    ]
+
+
+def test_field_csv_streams_its_rows(tmp_path):
+    # the marks_long shape: 1600 intervals on 641 nodes
+    grid = pde.SpatialGrid(-8.0, 8.0, 641)
+    times = np.linspace(0.0, 0.5, 1601)
+    values = np.cos(grid.xs)[None, :] * np.exp(-times)[:, None]
+    field = pde.ValueField(grid=grid, times=times, values=values)
+    tracemalloc.start()
+    try:
+        cli._field_csv(tmp_path / "streamed.csv", field, range(times.size))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the rows held as Python lists take about 33 MB
+    assert peak < 2 * 2**20
+    # each cell is formatted on its own, so every 8th row (first and last
+    # included) shows a formatting difference as well as all rows would
+    rows = range(0, times.size, 8)
+    cli._field_csv(tmp_path / "streamed.csv", field, rows)
+    header = ["time"] + [repr(float(x)) for x in grid.xs]
+    write_csv(tmp_path / "listed.csv", header, _oracle_field_rows(field, rows))
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
 
 
 # --- cli ---------------------------------------------------------------

@@ -533,6 +533,52 @@ def test_lattice_matches_oracle_with_three_noise_columns_on_bilinear():
     _assert_lattice_matches_oracle(_lattice_problem("bilinear", noise_dim=3))
 
 
+# --- successor slabs: one per distinct step --------------------------------------------
+
+
+def _assert_expect_matches_successors(lattice, values):
+    """expect(k, v) is interpolation of successors[k] followed by @ w, bit for bit."""
+    xs, w = lattice.grid.xs, lattice.quad_weights
+    for k, succ in enumerate(lattice.successors):
+        want = np.interp(succ.ravel(), xs, values).reshape(succ.shape) @ w
+        assert lattice.expect(k, values).tobytes() == want.tobytes()
+
+
+def test_lattice_stores_one_slab_per_distinct_step():
+    # a linspace partition of 1600 intervals has 12 distinct float steps
+    spec = bilinear_problem()
+    grid = SpatialGrid(-8.0, 8.0, 641)
+    part = make_uniform_partition(0.0, 0.5, 1600)
+    lattice = build_lattice(spec, grid, part)
+    slab_bytes = grid.nodes * 2 * 2 * lattice.quad_points * 8
+    assert lattice.slabs.shape[0] == 12
+    assert lattice.slabs.nbytes <= 12 * slab_bytes
+    assert lattice.slab_of.shape == (part.intervals,)
+    assert np.array_equal(lattice.successors, _oracle_successors(spec, grid, part))
+    _assert_expect_matches_successors(lattice, np.cos(grid.xs))
+
+
+@pytest.mark.parametrize("times, slab_of", [
+    # distinct steps, not in increasing order
+    ((0.0, 0.2, 0.25, 0.37, 0.5), [3, 0, 1, 2]),
+    # exact dyadic steps, the first repeated by the last
+    ((0.0, 0.125, 0.375, 0.5), [0, 1, 0]),
+])
+def test_lattice_slab_of_maps_each_interval_to_its_step(times, slab_of):
+    spec = _lattice_problem("affine", (-1.0, 0.0, 1.0))
+    grid = SpatialGrid(-6.0, 6.0, 81)
+    part = Partition(np.array(times))
+    lattice = build_lattice(spec, grid, part)
+    assert lattice.slab_of.tolist() == slab_of
+    assert lattice.slabs.shape == (max(slab_of) + 1, grid.nodes, 3, 2, 3)
+    assert np.array_equal(lattice.successors, _oracle_successors(spec, grid, part))
+    assert lattice.moment_errors(spec) == _oracle_moment_errors(spec, lattice)
+    _assert_expect_matches_successors(lattice, np.sin(grid.xs) + 0.1 * grid.xs)
+    # a slab stands for several intervals, so it cannot be written through
+    with pytest.raises(ValueError):
+        lattice.slabs[0, 0, 0, 0, 0] = 0.0
+
+
 def test_simulation_tracks_dp_value():
     prob = bilinear_problem()
     grid = SpatialGrid(-6.0, 6.0, 241)
@@ -824,6 +870,36 @@ def test_play_matches_per_substep_oracle_bitwise(case, rule):
                                    roster_seed * 7000, roster_seed * 9000)[0]
             assert got.mean == float(payoffs.mean())
             assert got.std_error == float(payoffs.std(ddof=1) / np.sqrt(paths))
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.0])
+@pytest.mark.parametrize("coef", ["constant", "affine"])
+def test_one_noise_column_keeps_the_sign_of_zero_bitwise(coef, sigma):
+    # X starts at -0.0 and b = -0.0, so x + b h = -0.0, and sigma dW is +0.0 or
+    # -0.0 by the sign of dW: a bare -0.0 + -0.0 would keep X at -0.0 where
+    # the oracle's np.sum over the noise column makes it +0.0
+    params = (-0.0, sigma) if coef == "constant" else (-0.0, 0.0, sigma)
+    prob = ProblemSpec(
+        coefficients=CoefficientSpec(coef, params, dim=1, noise_dim=1),
+        payoff=PayoffSpec("cosine", (1.0, 1.0), dim=1),
+        priority=PrioritySpec("constant", (0.5,), dim=1),
+        actions_u=ActionSet.from_values((-1.0, 1.0)),
+        actions_v=ActionSet.from_values((-1.0, 1.0)),
+        horizon=0.5,
+        start_state=(-0.0,),
+    )
+    grid = SpatialGrid(-1.0, 1.0, 21)
+    part = make_uniform_partition(0.0, 0.5, 3)
+    tables = dp_value_random(prob, part, build_lattice(prob, grid, part))
+    paths, substeps = 40, 2
+    play = simulate(prob, part, RandomMode(CoinSource(4)), tables.strategy_u,
+                    tables.strategy_v, paths, substeps, NoiseSource(5), record=paths)
+    states, blocks = _oracle_play(prob, part, None, tables.strategy_u, tables.strategy_v,
+                                  paths, substeps, 4, 5)[1:]
+    assert np.any(blocks < 0.0) and np.any(blocks > 0.0)
+    assert np.all(states[1:] == 0.0) and not np.signbit(states[1:]).any()
+    for i, rec in enumerate(play.records):
+        assert rec.substep_states.tobytes() == states[:, i].tobytes()
 
 
 @pytest.mark.parametrize("coef", ["bilinear", "affine"])

@@ -28,6 +28,29 @@ def test_grid_basics():
     assert np.array_equal(grid.clamp(np.array([-3.0, 0.1, 7.0])), [-1.0, 0.1, 1.0])
 
 
+def _oracle_nearest_index(grid, x):
+    """SpatialGrid.nearest_index as one expression with a clip."""
+    idx = np.rint((np.asarray(x, dtype=float) - grid.lower) / grid.dx)
+    return np.clip(idx, 0, grid.nodes - 1).astype(int)
+
+
+def test_nearest_index_matches_clip_oracle_bitwise():
+    grid = SpatialGrid(-8.0, 8.0, 641)
+    rng = np.random.default_rng(seed)
+    # half a cell either side of every node: exact or near ties for rint,
+    # which rounds an exact tie to even
+    ties = grid.xs[:, None] + np.array([-0.5, 0.5]) * grid.dx
+    x = np.concatenate([
+        rng.normal(0.0, 6.0, 2000), ties.ravel(), grid.xs,
+        [np.inf, -np.inf, 1e300, -1e300, 9.0, -9.0, 0.0, -0.0],
+    ])
+    got = grid.nearest_index(x)
+    want = _oracle_nearest_index(grid, x)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got.min() == 0 and got.max() == grid.nodes - 1
+
+
 def test_grid_validation():
     with pytest.raises(PdeError):
         SpatialGrid(1.0, -1.0, 5)
