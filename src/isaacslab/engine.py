@@ -470,6 +470,47 @@ class GameValueTables:
         return self.value.value_at(float(self.partition.times[0]), x)
 
 
+def _fold(op, a: np.ndarray) -> np.ndarray:
+    """``op.reduce(a, axis=-1)`` for a short last axis, one ufunc call per entry of it.
+
+    numpy reduces a short axis one output element at a time; calling the
+    binary ufunc on whole slices, left to right, keeps the reduction's
+    operand order, so the result is bitwise the same.  The result is laid
+    out in C order whatever the strides of ``a``, so a slice that steps
+    through the action axis still runs as one long inner loop.
+    """
+    k = a.shape[-1]
+    if k == 1:
+        return a[..., 0].copy()
+    out = op(a[..., 0], a[..., 1], order="C")
+    for c in range(2, k):
+        op(out, a[..., c], out=out)
+    return out
+
+
+def _arg_fold(better, a: np.ndarray) -> np.ndarray:
+    """Index of the best entry along the last axis of ``a``, laid out in C order.
+
+    ``better`` is np.greater (argmax) or np.less (argmin).  The comparison
+    is strict and runs left to right, so a tie keeps the lowest index, as
+    argmax and argmin do.  Unlike them it never picks a NaN; the sweep
+    meets none, as its value field rejects non-finite entries.
+    """
+    k = a.shape[-1]
+    if k == 1:
+        return np.zeros(a.shape[:-1], dtype=int)
+    # over the first two entries the comparison's 0/1 is the index
+    idx = better(a[..., 1], a[..., 0], order="C").astype(int)
+    if k > 2:
+        best = np.where(idx, a[..., 1], a[..., 0])
+        for c in range(2, k):
+            col = a[..., c]
+            hit = better(col, best)
+            np.copyto(idx, c, where=hit)
+            np.copyto(best, col, where=hit)
+    return idx
+
+
 def _dp_sweep(
     mode: str,
     spec: ProblemSpec,
@@ -481,7 +522,11 @@ def _dp_sweep(
 
     ``node_rule(k, lower, upper)`` returns the node values for interval k.
     Strategy rows are extracted at each index in ``strategy_starts`` from
-    that interval's local games.
+    that interval's local games.  The max-min and min-max over the action
+    axes are folds of elementwise ufunc calls over the action slices
+    (:func:`_fold`, :func:`_arg_fold`), bitwise the reductions and
+    argmax/argmin along those axes; a tied best action resolves to the
+    lowest index.
     """
     grid = lattice.grid
     partition = lattice.partition
@@ -499,18 +544,21 @@ def _dp_sweep(
     worst = 0.0
     for k in range(n - 1, -1, -1):
         f = lattice.expect(k, values[k + 1])
-        row_floor = f.min(axis=2)
-        lower = row_floor.max(axis=1)
-        col_ceil = f.max(axis=1)
-        upper = col_ceil.min(axis=1)
+        # f is (nodes, ku, kv); f_v views it as (kv, nodes, ku), so the
+        # column maxima come out as rows of a (kv, nodes) array
+        f_v = f.transpose(2, 0, 1)
+        row_floor = _fold(np.minimum, f)
+        lower = _fold(np.maximum, row_floor)
+        col_ceil = _fold(np.maximum, f_v).T
+        upper = _fold(np.minimum, col_ceil)
         worst = max(worst, float(np.max(lower - upper)))
         values[k] = node_rule(k, lower, upper)
         r = start_lookup.get(k)
         if r is not None:
-            u_plain[r] = row_floor.argmax(axis=1)
-            u_counter[r] = f.argmax(axis=1)
-            v_plain[r] = col_ceil.argmin(axis=1)
-            v_counter[r] = f.argmin(axis=2)
+            u_plain[r] = _arg_fold(np.greater, row_floor)
+            u_counter[r] = _arg_fold(np.greater, f_v).T
+            v_plain[r] = _arg_fold(np.less, col_ceil)
+            v_counter[r] = _arg_fold(np.less, f)
     return GameValueTables(
         mode=mode,
         grid=grid,

@@ -37,6 +37,7 @@ algebraic modules but not by this solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,9 +94,12 @@ class SpatialGrid:
     def dx(self) -> float:
         return (self.upper - self.lower) / (self.nodes - 1)
 
-    @property
+    @cached_property
     def xs(self) -> np.ndarray:
-        return np.linspace(self.lower, self.upper, self.nodes)
+        """The nodes, built once per grid and read-only, since every caller shares them."""
+        xs = np.linspace(self.lower, self.upper, self.nodes)
+        xs.flags.writeable = False
+        return xs
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)

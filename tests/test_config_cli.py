@@ -12,7 +12,7 @@ from isaacslab.config import (
     load_config,
     parse_config_text,
 )
-from isaacslab.csvio import write_csv
+from isaacslab.csvio import format_cell, write_csv
 
 seed = 0
 
@@ -100,6 +100,34 @@ def test_write_csv_quoting(tmp_path):
     assert header == ["a", "b"]
     assert rows[0] == ['has,comma and "quote"', "1"]
     assert rows[1] == ["0.5", "2"]
+
+
+def _oracle_write_csv(path, header, rows):
+    """write_csv as one csv.writer row of format_cell strings per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_cell(cell) for cell in row])
+
+
+def test_write_csv_matches_csv_writer_oracle_bytes(tmp_path):
+    rows = [
+        [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e22],
+        [0, -7, 2**70, 1.5, -2.25e-300],
+        [True, False, 3, 0.1],
+        ["has,comma", 'a "quote"', "two\nlines", 1.0, 2],
+        ["", 0.5, -1],
+        [""],
+        [],
+        [np.float64(0.1), np.int64(-3), 4.0],
+        [np.float64(-0.0), 7],
+        [1e16, 123456789.125, -1e-7, 2**53 + 1],
+    ]
+    header = ["a", "b,c", "d"]
+    write_csv(tmp_path / "got.csv", header, rows)
+    _oracle_write_csv(tmp_path / "want.csv", header, rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def _oracle_field_rows(field, row_indices):

@@ -579,6 +579,111 @@ def test_lattice_slab_of_maps_each_interval_to_its_step(times, slab_of):
         lattice.slabs[0, 0, 0, 0, 0] = 0.0
 
 
+# --- the DP sweep's action folds against numpy's axis reductions ---------------------
+
+
+def _tied_actions(shape, rng):
+    """Entries from {-1, -0.0, +0.0, 1}, so most comparisons tie, zero signs included."""
+    return rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), size=shape)
+
+
+@pytest.mark.parametrize("ku, kv", [(1, 1), (2, 2), (3, 2), (2, 4)])
+def test_action_folds_match_reductions_bitwise(ku, kv):
+    rng = np.random.default_rng(ku * 10 + kv)
+    f = _tied_actions((97, ku, kv), rng)
+    # the last column repeats the first, so a tie spans the whole action axis
+    f[:, :, -1] = f[:, :, 0]
+    # the sweep's layouts: the (kv, nodes, ku) view of f, and the column
+    # extremes as the transpose of a C-ordered (kv, nodes) array
+    f_v = f.transpose(2, 0, 1)
+    per_row = (f.min(axis=2), f.max(axis=2))
+    per_col = tuple(np.ascontiguousarray(g.T).T for g in (f.min(axis=1), f.max(axis=1)))
+    for op in (np.minimum, np.maximum):
+        assert engine._fold(op, f).tobytes() == op.reduce(f, axis=2).tobytes()
+        assert engine._fold(op, f_v).T.tobytes() == op.reduce(f, axis=1).tobytes()
+        for rows in per_row + per_col:
+            assert engine._fold(op, rows).tobytes() == op.reduce(rows, axis=1).tobytes()
+    for better, arg in ((np.greater, np.argmax), (np.less, np.argmin)):
+        assert np.array_equal(engine._arg_fold(better, f), arg(f, axis=2))
+        assert np.array_equal(engine._arg_fold(better, f_v).T, arg(f, axis=1))
+        for rows in per_row + per_col:
+            assert np.array_equal(engine._arg_fold(better, rows), arg(rows, axis=1))
+
+
+def test_arg_fold_keeps_the_lowest_tied_index():
+    a = np.array([[0.0, -0.0, 0.0], [1.0, 2.0, 2.0], [3.0, 1.0, 3.0], [-1.0, -2.0, -2.0]])
+    assert engine._arg_fold(np.greater, a).tolist() == [0, 1, 0, 0]
+    assert engine._arg_fold(np.less, a).tolist() == [0, 0, 1, 1]
+
+
+def _oracle_sweep(spec, lattice, node_rule, starts):
+    """The backward sweep written with axis reductions and argmax/argmin."""
+    grid, n = lattice.grid, lattice.partition.intervals
+    ku, kv = spec.actions_u.size, spec.actions_v.size
+    values = np.empty((n + 1, grid.nodes))
+    values[n] = spec.payoff_values(grid.xs[:, None])
+    u_plain = np.zeros((len(starts), grid.nodes), dtype=int)
+    u_counter = np.zeros((len(starts), grid.nodes, kv), dtype=int)
+    v_plain = np.zeros((len(starts), grid.nodes), dtype=int)
+    v_counter = np.zeros((len(starts), grid.nodes, ku), dtype=int)
+    for k in range(n - 1, -1, -1):
+        f = lattice.expect(k, values[k + 1])
+        row_floor = f.min(axis=2)
+        lower = row_floor.max(axis=1)
+        col_ceil = f.max(axis=1)
+        upper = col_ceil.min(axis=1)
+        values[k] = node_rule(k, lower, upper)
+        if k in starts:
+            r = starts.index(k)
+            u_plain[r] = row_floor.argmax(axis=1)
+            u_counter[r] = f.argmax(axis=1)
+            v_plain[r] = col_ceil.argmin(axis=1)
+            v_counter[r] = f.argmin(axis=2)
+    return values, u_plain, u_counter, v_plain, v_counter
+
+
+def _sweep_problems():
+    return {
+        # payoff and successors depend on u v alone, so diagonal pairs tie bitwise
+        "bilinear_2x2": bilinear_problem(prio_family="linear_time", prio_params=(0.2, 1.0)),
+        "affine_3x2": _lattice_problem("affine", (-1.0, 0.0, 1.0)),
+        "singleton_1x1": singleton_problem(),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_sweep_problems()))
+def test_dp_sweeps_match_reduction_oracle_bitwise(case):
+    from isaacslab.static_game import mix
+
+    spec = _sweep_problems()[case]
+    grid = SpatialGrid(-6.0, 6.0, 81)
+    part = make_uniform_partition(0.0, 0.5, 12)
+    lattice = build_lattice(spec, grid, part)
+    xs = grid.xs[:, None]
+
+    def coin(k, lower, upper):
+        return mix(spec.priority_values(float(part.times[k]), xs), lower, upper)
+
+    marks, subgrid = make_marks(part, spec.priority, 3)
+
+    def marked(k, lower, upper):
+        return lower if marks.array[k] == 1 else upper
+
+    runs = [
+        (dp_value_random(spec, part, lattice), coin, tuple(range(part.intervals))),
+        (dp_value_deterministic(spec, part, marks, subgrid, lattice), marked,
+         tuple(subgrid.indices[:-1])),
+    ]
+    for tables, node_rule, starts in runs:
+        want = _oracle_sweep(spec, lattice, node_rule, starts)
+        got = (tables.value.values, tables.strategy_u.plain, tables.strategy_u.counter,
+               tables.strategy_v.plain, tables.strategy_v.counter)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert tables.max_order_violation == 0.0
+
+
 def test_simulation_tracks_dp_value():
     prob = bilinear_problem()
     grid = SpatialGrid(-6.0, 6.0, 241)

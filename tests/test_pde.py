@@ -28,6 +28,19 @@ def test_grid_basics():
     assert np.array_equal(grid.clamp(np.array([-3.0, 0.1, 7.0])), [-1.0, 0.1, 1.0])
 
 
+def test_grid_nodes_are_built_once_and_read_only():
+    grid = SpatialGrid(-8.0, 8.0, 641)
+    xs = grid.xs
+    assert grid.xs is xs
+    assert not xs.flags.writeable
+    with pytest.raises(ValueError):
+        xs[0] = 0.0
+    assert xs.tobytes() == np.linspace(-8.0, 8.0, 641).tobytes()
+    # the cached array is not a field: equal grids stay equal and hash alike
+    other = SpatialGrid(-8.0, 8.0, 641)
+    assert other == grid and hash(other) == hash(grid)
+
+
 def _oracle_nearest_index(grid, x):
     """SpatialGrid.nearest_index as one expression with a clip."""
     idx = np.rint((np.asarray(x, dtype=float) - grid.lower) / grid.dx)
