@@ -70,7 +70,8 @@ class Config:
             as_float = float(raw)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r} is not an integer: {raw!r}") from exc
-        if as_float != int(as_float):
+        # NaN and the infinities are not integers either
+        if not as_float.is_integer():
             raise ConfigError(f"config key {key!r} is not an integer: {raw!r}")
         return int(as_float)
 
@@ -87,7 +88,7 @@ class Config:
         vals = self.get_floats(key, None, required)
         if vals is None:
             return default
-        if any(v != int(v) for v in vals):
+        if not all(v.is_integer() for v in vals):
             raise ConfigError(f"config key {key!r} is not an integer list")
         return tuple(int(v) for v in vals)
 

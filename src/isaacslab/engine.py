@@ -5,13 +5,15 @@ node x over interval [t_k, t_k+1] with actions (u, v), the state moves to
 x + b dt + sigma sqrt(dt) zeta_q with Gauss-Hermite abscissas zeta_q and
 weights w_q, matching the Gaussian one-step mean and variance exactly.
 Successors depend on the interval only through dt, so they are stored once
-per distinct step (a uniform partition has a handful), and the lattice's
-``expect`` method is the one-step expectation the backward sweep reads.
+per distinct step (a uniform partition has a handful), action pair first
+as in the coefficient table, and the lattice's ``expect`` method is the
+one-step expectation the backward sweep reads, laid out (ku, kv, nodes).
 Off-lattice successors are evaluated by linear interpolation, which keeps
 the backward operator monotone; queries beyond the grid clamp to the edge
 value, the probabilistic counterpart of the solver's zero-slope boundary.
 
-Each interval is a one-period matrix game on the continuation values.
+Each interval is a batch of one-period matrix games on the continuation
+values, one per node, valued by :mod:`isaacslab.static_game`'s kernels.
 Who moves second is decided per interval: by a 0/1 mark (deterministic
 rule) or by a coin with P(heads) = p(t_k, x) (random rule); heads means v
 sees u.  Backward induction therefore values each node at the lower value
@@ -45,7 +47,7 @@ from numpy.polynomial.hermite import hermgauss
 from .pde import SpatialGrid, ValueField, coefficient_table
 from .problem import ProblemError, ProblemSpec
 from .schedule import MarkSequence, Partition, ScheduleError, SubGrid
-from .static_game import mix
+from .static_game import local_saddle, local_values, mix
 
 __all__ = [
     "EngineError",
@@ -131,11 +133,11 @@ class TransitionModel:
 
     A successor depends on the interval only through its step dt_k, so the
     positions are stored once per distinct step: ``slabs`` has shape
-    (distinct steps, nodes, ku, kv, q) and interval k reads slab
+    (distinct steps, ku, kv, nodes, q) and interval k reads slab
     ``slab_of[k]``.  Positions are raw (unclamped); interpolation clamps
     at query time.  ``expect`` is the one place where successors meet a
-    value slice.  ``successors`` assembles the full (intervals, nodes, ku,
-    kv, q) tensor, a new array on every access, for checks that want it.
+    value slice.  ``successors`` assembles the full tensor, a new array on
+    every access, seen as (intervals, nodes, ku, kv, q), for checks.
     ``max_protrusion`` records how far any successor leaves the domain.
     """
 
@@ -153,15 +155,15 @@ class TransitionModel:
 
     @property
     def successors(self) -> np.ndarray:
-        """The (intervals, nodes, ku, kv, q) tensor, assembled anew on each access."""
-        return self.slabs[self.slab_of]
+        """The (intervals, nodes, ku, kv, q) view of a tensor assembled anew on each access."""
+        return self.slabs[self.slab_of].transpose(0, 3, 1, 2, 4)
 
     def expect(self, k: int, values: np.ndarray) -> np.ndarray:
-        """One-step expectation of the node values over interval k, shape (nodes, ku, kv).
+        """One-step expectation of the node values over interval k, shape (ku, kv, nodes).
 
         The successors are interpolated linearly in ``values`` (one entry
         per grid node, clamped beyond the edges) and weighted by the
-        quadrature weights.
+        quadrature weights, one matrix-vector product per action pair.
         """
         succ = self.slabs[self.slab_of[k]]
         contin = np.interp(succ.ravel(), self.grid.xs, values).reshape(succ.shape)
@@ -173,26 +175,16 @@ class TransitionModel:
         w = self.quad_weights
         err_mean = 0.0
         err_var = 0.0
-        b, s2 = _lattice_table(spec, xs, self.partition)
+        b, s2 = coefficient_table(spec, float(self.partition.times[0]), xs)
         # every interval of a slab has the slab's step, bit for bit
         dts = np.empty(self.slabs.shape[0])
         dts[self.slab_of] = self.partition.steps
         for dt, succ in zip(dts.tolist(), self.slabs):
             mean = succ @ w
             var = ((succ - mean[..., None]) ** 2) @ w
-            err_mean = max(err_mean, float(np.max(np.abs(mean - (xs[:, None, None] + b * dt)))))
+            err_mean = max(err_mean, float(np.max(np.abs(mean - (xs + b * dt)))))
             err_var = max(err_var, float(np.max(np.abs(var - s2 * dt))))
         return err_mean, err_var
-
-
-def _lattice_table(spec: ProblemSpec, xs: np.ndarray, partition: Partition):
-    """b and sigma^2 for every node and action pair, laid out (n, ku, kv).
-
-    The coefficients ignore t, so the table at the partition's first time
-    serves every interval.
-    """
-    b, s2 = coefficient_table(spec, float(partition.times[0]), xs)
-    return b.transpose(2, 0, 1), s2.transpose(2, 0, 1)
 
 
 def _gauss_hermite_unit(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,10 +218,11 @@ def build_lattice(
     xs = grid.xs
     ku, kv = spec.actions_u.size, spec.actions_v.size
     dts, slab_of = np.unique(partition.steps, return_inverse=True)
-    slabs = np.empty((dts.size, xs.size, ku, kv, quad_points))
-    b, s2 = _lattice_table(spec, xs, partition)
+    slabs = np.empty((dts.size, ku, kv, xs.size, quad_points))
+    # the coefficients ignore t, so the table at the first time serves every interval
+    b, s2 = coefficient_table(spec, float(partition.times[0]), xs)
     for j, dt in enumerate(dts.tolist()):
-        slabs[j] = xs[:, None, None, None] + b[..., None] * dt + np.sqrt(s2)[..., None] * np.sqrt(dt) * zeta
+        slabs[j] = xs[:, None] + b[..., None] * dt + np.sqrt(s2)[..., None] * np.sqrt(dt) * zeta
     slabs.flags.writeable = False
     protrusion = max(
         float(grid.lower - slabs.min()), float(slabs.max() - grid.upper), 0.0
@@ -470,47 +463,6 @@ class GameValueTables:
         return self.value.value_at(float(self.partition.times[0]), x)
 
 
-def _fold(op, a: np.ndarray) -> np.ndarray:
-    """``op.reduce(a, axis=-1)`` for a short last axis, one ufunc call per entry of it.
-
-    numpy reduces a short axis one output element at a time; calling the
-    binary ufunc on whole slices, left to right, keeps the reduction's
-    operand order, so the result is bitwise the same.  The result is laid
-    out in C order whatever the strides of ``a``, so a slice that steps
-    through the action axis still runs as one long inner loop.
-    """
-    k = a.shape[-1]
-    if k == 1:
-        return a[..., 0].copy()
-    out = op(a[..., 0], a[..., 1], order="C")
-    for c in range(2, k):
-        op(out, a[..., c], out=out)
-    return out
-
-
-def _arg_fold(better, a: np.ndarray) -> np.ndarray:
-    """Index of the best entry along the last axis of ``a``, laid out in C order.
-
-    ``better`` is np.greater (argmax) or np.less (argmin).  The comparison
-    is strict and runs left to right, so a tie keeps the lowest index, as
-    argmax and argmin do.  Unlike them it never picks a NaN; the sweep
-    meets none, as its value field rejects non-finite entries.
-    """
-    k = a.shape[-1]
-    if k == 1:
-        return np.zeros(a.shape[:-1], dtype=int)
-    # over the first two entries the comparison's 0/1 is the index
-    idx = better(a[..., 1], a[..., 0], order="C").astype(int)
-    if k > 2:
-        best = np.where(idx, a[..., 1], a[..., 0])
-        for c in range(2, k):
-            col = a[..., c]
-            hit = better(col, best)
-            np.copyto(idx, c, where=hit)
-            np.copyto(best, col, where=hit)
-    return idx
-
-
 def _dp_sweep(
     mode: str,
     spec: ProblemSpec,
@@ -522,11 +474,9 @@ def _dp_sweep(
 
     ``node_rule(k, lower, upper)`` returns the node values for interval k.
     Strategy rows are extracted at each index in ``strategy_starts`` from
-    that interval's local games.  The max-min and min-max over the action
-    axes are folds of elementwise ufunc calls over the action slices
-    (:func:`_fold`, :func:`_arg_fold`), bitwise the reductions and
-    argmax/argmin along those axes; a tied best action resolves to the
-    lowest index.
+    that interval's local games by :func:`local_saddle`; a tied best
+    action resolves to the lowest index.  Every other interval needs only
+    :func:`local_values`.
     """
     grid = lattice.grid
     partition = lattice.partition
@@ -544,21 +494,15 @@ def _dp_sweep(
     worst = 0.0
     for k in range(n - 1, -1, -1):
         f = lattice.expect(k, values[k + 1])
-        # f is (nodes, ku, kv); f_v views it as (kv, nodes, ku), so the
-        # column maxima come out as rows of a (kv, nodes) array
-        f_v = f.transpose(2, 0, 1)
-        row_floor = _fold(np.minimum, f)
-        lower = _fold(np.maximum, row_floor)
-        col_ceil = _fold(np.maximum, f_v).T
-        upper = _fold(np.minimum, col_ceil)
+        r = start_lookup.get(k)
+        if r is None:
+            lower, upper = local_values(f)
+        else:
+            lower, upper, u_plain[r], uc, v_plain[r], vc = local_saddle(f)
+            u_counter[r] = uc.T
+            v_counter[r] = vc.T
         worst = max(worst, float(np.max(lower - upper)))
         values[k] = node_rule(k, lower, upper)
-        r = start_lookup.get(k)
-        if r is not None:
-            u_plain[r] = _arg_fold(np.greater, row_floor)
-            u_counter[r] = _arg_fold(np.greater, f_v).T
-            v_plain[r] = _arg_fold(np.less, col_ceil)
-            v_counter[r] = _arg_fold(np.less, f)
     return GameValueTables(
         mode=mode,
         grid=grid,

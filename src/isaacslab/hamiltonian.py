@@ -9,7 +9,8 @@ the two one-sided Hamiltonians are
 and the priority-weighted Hamiltonian is p(t, x) * lower + (1 - p) * upper.
 Lower <= upper always (exchanging max and min), so the weighted one is
 sandwiched between them.  The action grids are finite, which turns each
-evaluation into a small matrix game handled by :mod:`isaacslab.static_game`.
+evaluation into a small matrix game, laid out f[u, v, state] and valued by
+:func:`isaacslab.static_game.local_values`.
 
 Drift and diffusion for all action pairs come from one
 :meth:`isaacslab.problem.ProblemSpec.coefficient_table` call, and the
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ProblemError, ProblemSpec
-from .static_game import LocalGameMatrix, lower_value, mix, upper_value
+from .static_game import LocalGameMatrix, local_values, mix
 
 __all__ = [
     "DifferentialState",
@@ -81,8 +82,8 @@ def generator_tensor(
 ) -> np.ndarray:
     """Generator values for every action pair at a batch of states.
 
-    X: (n, d), grads: (n, d), hesses: (n, d, d).  Returns (n, ku, kv);
-    entry [i, a, b] is L at state i under u-action a and v-action b.  The
+    X: (n, d), grads: (n, d), hesses: (n, d, d).  Returns (ku, kv, n);
+    entry [a, b, i] is L at state i under u-action a and v-action b.  The
     coefficients come from one :meth:`ProblemSpec.coefficient_table` call.
     """
     X = np.asarray(X, dtype=float)
@@ -91,10 +92,9 @@ def generator_tensor(
     bvec, sig = spec.coefficient_table(t, X)
     # 0.5 * tr(sigma sigma^T hess) = 0.5 * sum_{i,j} (sigma sigma^T)_{ij} hess_{ij}
     a2 = np.einsum("...ik,...jk->...ij", sig, sig)
-    out = np.einsum("...i,...i->...", bvec, grads) + 0.5 * np.einsum(
+    return np.einsum("...i,...i->...", bvec, grads) + 0.5 * np.einsum(
         "...ij,...ij->...", a2, hesses
     )
-    return out.transpose(2, 0, 1)
 
 
 def generator(spec: ProblemSpec, state: DifferentialState, u, v) -> float:
@@ -105,7 +105,7 @@ def generator(spec: ProblemSpec, state: DifferentialState, u, v) -> float:
     tens = generator_tensor(
         spec, state.t, state.x[None, :], state.grad[None, :], state.hess[None, :, :]
     )
-    return float(tens[0, iu, iv])
+    return float(tens[iu, iv, 0])
 
 
 def local_matrix(spec: ProblemSpec, state: DifferentialState) -> LocalGameMatrix:
@@ -114,19 +114,17 @@ def local_matrix(spec: ProblemSpec, state: DifferentialState) -> LocalGameMatrix
     tens = generator_tensor(
         spec, state.t, state.x[None, :], state.grad[None, :], state.hess[None, :, :]
     )
-    return LocalGameMatrix(tens[0])
+    return LocalGameMatrix(tens[..., 0])
 
 
 def hamiltonian_lower(spec: ProblemSpec, state: DifferentialState) -> float:
     """max_u min_v of the generator: the side where v sees u."""
-    value, _, _ = lower_value(local_matrix(spec, state))
-    return value
+    return float(local_values(local_matrix(spec, state).values)[0])
 
 
 def hamiltonian_upper(spec: ProblemSpec, state: DifferentialState) -> float:
     """min_v max_u of the generator: the side where u sees v."""
-    value, _, _ = upper_value(local_matrix(spec, state))
-    return value
+    return float(local_values(local_matrix(spec, state).values)[1])
 
 
 def hamiltonian_mixed(spec: ProblemSpec, state: DifferentialState) -> float:
@@ -135,7 +133,7 @@ def hamiltonian_mixed(spec: ProblemSpec, state: DifferentialState) -> float:
     Degenerate priorities reproduce the one-sided values bitwise.
     """
     p = spec.priority.scalar(state.t, state.x)
-    return mix(p, hamiltonian_lower(spec, state), hamiltonian_upper(spec, state))
+    return mix(p, *local_values(local_matrix(spec, state).values))
 
 
 def hamiltonian_batch(
@@ -151,8 +149,6 @@ def hamiltonian_batch(
     p == 1 it is the lower array entry itself, where p == 0 the upper
     entry, bitwise.
     """
-    tens = generator_tensor(spec, t, X, grads, hesses)
-    lower = tens.min(axis=2).max(axis=1)
-    upper = tens.max(axis=1).min(axis=1)
+    lower, upper = local_values(generator_tensor(spec, t, X, grads, hesses))
     p = spec.priority_values(t, np.asarray(X, dtype=float))
     return lower, upper, mix(p, lower, upper)

@@ -23,8 +23,9 @@ engine reads the same view.  The coefficients ignore t (the contract of
 the coefficient families in :mod:`isaacslab.problem`), so the table is
 built once before the march and :func:`cfl_max_dt` scans one table; each
 step is then a few whole-array operations on preallocated buffers, with
-the lower and upper Hamiltonians taken as reductions over the two action
-axes and blended by :func:`isaacslab.static_game.mix`.  A time-only
+the lower and upper Hamiltonians taken by
+:func:`isaacslab.static_game.local_values` on the (ku, kv, n) generator
+and blended by :func:`isaacslab.static_game.mix`.  A time-only
 priority is tabulated over the step times once per solve, as the paper's
 rules for a state-independent p can be set in advance, so the blend takes
 one float per step; a state-dependent priority is evaluated on the nodes
@@ -42,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .problem import ProblemError, ProblemSpec
-from .static_game import mix
+from .static_game import local_values, mix
 
 __all__ = [
     "PdeError",
@@ -231,8 +232,9 @@ def solve(
     """
     if hamiltonian not in ("lower", "upper", "mixed"):
         raise PdeError(f"unknown hamiltonian mode {hamiltonian!r}")
-    if dt <= 0.0:
-        raise PdeError("dt must be positive")
+    # NaN fails the comparison
+    if not dt > 0.0:
+        raise PdeError(f"dt must be positive, got {dt}")
     span = spec.horizon - spec.start_time
     if span == 0.0:
         # zero horizon: the value is the terminal condition itself and no
@@ -266,10 +268,6 @@ def solve(
     second = np.empty(n)
     gen = np.empty((ku, kv, n))
     term = np.empty((ku, kv, n))
-    min_v = np.empty((ku, n))
-    max_u = np.empty((kv, n))
-    low = np.empty(n)
-    up = np.empty(n)
     b, s2 = coefficient_table(spec, float(times[m]), xs)
     b_plus = np.where(b >= 0.0, b, 0.0)
     b_minus = np.where(b >= 0.0, 0.0, b)
@@ -293,8 +291,7 @@ def solve(
         np.multiply(b_plus, forward, out=gen)
         gen += np.multiply(b_minus, backward, out=term)
         gen += np.multiply(half_s2, second, out=term)
-        np.maximum.reduce(np.minimum.reduce(gen, axis=1, out=min_v), axis=0, out=low)
-        np.minimum.reduce(np.maximum.reduce(gen, axis=0, out=max_u), axis=0, out=up)
+        low, up = local_values(gen)
         if hamiltonian == "lower":
             H = low
         elif hamiltonian == "upper":

@@ -180,10 +180,7 @@ def make_marks(
     if block < 1:
         raise ScheduleError("block must be a positive number of intervals")
     n = partition.intervals
-    edges = list(range(0, n, block)) + [n]
-    if edges[-2] == n:
-        edges.pop()
-    subgrid = SubGrid(tuple(edges))
+    subgrid = SubGrid(tuple(range(0, n, block)) + (n,))
     times = partition.times
     steps = partition.steps
     # Ties mean the mass is already on target and must not take; rounding in
@@ -218,8 +215,9 @@ def check_density(
     fraction of ones must lie within epsilon of the priority at the block
     start.  Works for any marks, not only greedy ones.
     """
-    if epsilon <= 0.0:
-        raise ScheduleError("epsilon must be positive")
+    # NaN fails the comparison
+    if not epsilon > 0.0:
+        raise ScheduleError(f"epsilon must be positive, got {epsilon}")
     if len(marks) != partition.intervals:
         raise ScheduleError("need one mark per partition interval")
     if subgrid.indices[-1] != partition.intervals:

@@ -9,6 +9,9 @@ and a minimizing column player v.  Three values matter:
   the expected outcome when a coin with P(heads) = p decides who moves
   second; heads means v sees u.
 
+``local_values`` and ``local_saddle`` value a batch of games f[u, v, *batch]
+at once; the Hamiltonians, the PDE march and the lattice DP go through them.
+
 Because both players optimize sequentially, the prioritized game also has
 an exact saddle representation over strategy pairs (plain action, counter
 map): sup-inf and inf-sup coincide.  ``representation_residual`` certifies
@@ -27,6 +30,8 @@ __all__ = [
     "StaticSaddle",
     "StaticGameError",
     "mix",
+    "local_values",
+    "local_saddle",
     "lower_value",
     "upper_value",
     "mixed_value",
@@ -101,6 +106,67 @@ def _as_matrix(f: LocalGameMatrix | np.ndarray) -> LocalGameMatrix:
     return LocalGameMatrix(np.asarray(f, dtype=float))
 
 
+def _fold(op, a: np.ndarray) -> np.ndarray:
+    """``op.reduce(a, axis=0)`` bitwise, one ufunc call per slice a[c], running result first.
+
+    Each call runs over a whole slice where the reduction would step
+    through the short action axis per output element.  A length-one axis
+    returns the view a[0].
+    """
+    out = a[0]
+    for c in range(1, a.shape[0]):
+        out = op(out, a[c])
+    return out
+
+
+def _arg_fold(better, a: np.ndarray) -> np.ndarray:
+    """Index of the best entry along the leading axis of ``a``.
+
+    ``better`` is np.greater (argmax) or np.less (argmin).  The comparison
+    is strict and runs in index order, so a tie keeps the lowest index, as
+    argmax and argmin do.  Unlike them it never picks a NaN.
+    """
+    k = a.shape[0]
+    if k == 1:
+        return np.zeros(a.shape[1:], dtype=int)
+    # over the first two entries the comparison's 0/1 is the index
+    idx = np.array(better(a[1], a[0]), dtype=int)
+    if k > 2:
+        best = np.where(idx, a[1], a[0])
+        for c in range(2, k):
+            hit = better(a[c], best)
+            np.copyto(idx, c, where=hit)
+            np.copyto(best, a[c], where=hit)
+    return idx
+
+
+def local_values(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower max_u min_v and upper min_v max_u of a batch of games f[u, v, *batch].
+
+    Bitwise the nested ``np.minimum.reduce``/``np.maximum.reduce`` over
+    the two action axes; both results have the batch shape.
+    """
+    lower = _fold(np.maximum, _fold(np.minimum, f.swapaxes(0, 1)))
+    return lower, _fold(np.minimum, _fold(np.maximum, f))
+
+
+def local_saddle(f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Values and saddle strategies of a batch of games f[u, v, *batch].
+
+    Returns ``(lower, upper, u_plain, u_counter, v_plain, v_counter)``:
+    the values of :func:`local_values`; u's best leading row (batch
+    shape) and its counter map u_counter[v], the best row against column
+    v (kv, *batch); v's best leading column and its counter map
+    v_counter[u] (ku, *batch).  Ties break to the lowest index, as
+    argmax and argmin do.
+    """
+    row_floor = _fold(np.minimum, f.swapaxes(0, 1))  # min over v, (ku, *batch)
+    col_ceil = _fold(np.maximum, f)  # max over u, (kv, *batch)
+    return (_fold(np.maximum, row_floor), _fold(np.minimum, col_ceil),
+            _arg_fold(np.greater, row_floor), _arg_fold(np.greater, f),
+            _arg_fold(np.less, col_ceil), _arg_fold(np.less, f.swapaxes(0, 1)))
+
+
 def lower_value(f: LocalGameMatrix | np.ndarray) -> tuple[float, int, np.ndarray]:
     """Value and saddle data of the game where v sees u's move.
 
@@ -108,11 +174,8 @@ def lower_value(f: LocalGameMatrix | np.ndarray) -> tuple[float, int, np.ndarray
     v's pointwise-argmin counter map beta_star[u] (one best column per
     row).  Ties break to the lowest index, so the output is deterministic.
     """
-    mat = _as_matrix(f).values
-    beta_star = mat.argmin(axis=1)
-    row_floor = mat.min(axis=1)
-    u_star = int(row_floor.argmax())
-    return float(row_floor[u_star]), u_star, beta_star
+    lo, _, u_star, _, _, beta_star = local_saddle(_as_matrix(f).values)
+    return float(lo), int(u_star), beta_star
 
 
 def upper_value(f: LocalGameMatrix | np.ndarray) -> tuple[float, int, np.ndarray]:
@@ -121,18 +184,14 @@ def upper_value(f: LocalGameMatrix | np.ndarray) -> tuple[float, int, np.ndarray
     Returns ``(value, v_star, alpha_star)`` with u's counter map
     alpha_star[v] (one best row per column).  Ties break low.
     """
-    mat = _as_matrix(f).values
-    alpha_star = mat.argmax(axis=0)
-    col_ceil = mat.max(axis=0)
-    v_star = int(col_ceil.argmin())
-    return float(col_ceil[v_star]), v_star, alpha_star
+    _, hi, _, alpha_star, v_star, _ = local_saddle(_as_matrix(f).values)
+    return float(hi), int(v_star), alpha_star
 
 
 def mixed_value(f: LocalGameMatrix | np.ndarray, prio: float) -> float:
     """Priority-weighted value p * lower + (1 - p) * upper."""
-    lo, _, _ = lower_value(f)
-    hi, _, _ = upper_value(f)
-    return mix(prio, lo, hi)
+    lo, hi = local_values(_as_matrix(f).values)
+    return mix(prio, float(lo), float(hi))
 
 
 @dataclass(frozen=True)
@@ -150,16 +209,16 @@ class StaticSaddle:
 
 
 def saddle(f: LocalGameMatrix | np.ndarray, prio: float) -> StaticSaddle:
-    lo, u_star, beta_star = lower_value(f)
-    hi, v_star, alpha_star = upper_value(f)
+    lo, hi, u_star, alpha_star, v_star, beta_star = local_saddle(_as_matrix(f).values)
+    lo, hi = float(lo), float(hi)
     return StaticSaddle(
         lower=lo,
         upper=hi,
         mixed=mix(prio, lo, hi),
         prio=float(_check_prio(prio)),
-        u_star=u_star,
+        u_star=int(u_star),
         beta_star=beta_star,
-        v_star=v_star,
+        v_star=int(v_star),
         alpha_star=alpha_star,
     )
 

@@ -67,6 +67,22 @@ def test_parse_config_basics():
         parse_config_text("k = 2.5").get_int("k")
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_integers_are_config_errors(raw):
+    cfg = parse_config_text(f"k = {raw}\nks = 1, {raw}\n")
+    with pytest.raises(ConfigError):
+        cfg.get_int("k")
+    with pytest.raises(ConfigError):
+        cfg.get_ints("ks")
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+def test_cli_non_finite_node_count_exits_2(tmp_path, raw):
+    text = BILINEAR_CFG.replace("grid.nodes = 161", f"grid.nodes = {raw}")
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["pde", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
 def test_parse_config_errors():
     with pytest.raises(ConfigError):
         parse_config_text("a.b = 1\na.b = 2\n")  # duplicate key
@@ -216,6 +232,20 @@ def test_cli_schedule_density_failure(tmp_path):
 def test_cli_pde_cfl_exit(tmp_path):
     cfg = write_cfg(tmp_path, BILINEAR_CFG + "run.dt_safety = 5.0\n")
     assert cli.main(["pde", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+def test_cli_pde_nan_step_exits_2(tmp_path, capsys):
+    # a NaN step passes the CFL comparison, so the solver's own check must catch it
+    cfg = write_cfg(tmp_path, BILINEAR_CFG + "run.dt_safety = nan\n")
+    assert cli.main(["pde", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "dt must be positive" in capsys.readouterr().err
+
+
+def test_cli_schedule_nan_epsilon_exits_2(tmp_path, capsys):
+    text = BILINEAR_CFG + "discretization.partition.n = 20\ndiscretization.block = 5\nrun.epsilon = nan\n"
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["schedule", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "epsilon must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("stride", [0, -3])

@@ -537,11 +537,17 @@ def test_lattice_matches_oracle_with_three_noise_columns_on_bilinear():
 
 
 def _assert_expect_matches_successors(lattice, values):
-    """expect(k, v) is interpolation of successors[k] followed by @ w, bit for bit."""
+    """expect(k, v) is interpolation of successors[k] followed by @ w, bit for bit.
+
+    The successors are read in their (nodes, ku, kv, q) layout, so the
+    reference contracts one small matrix per (node, u) where ``expect``
+    contracts one per action pair; for kv >= 2 both are BLAS gemv calls
+    on rows of q entries, which round alike.
+    """
     xs, w = lattice.grid.xs, lattice.quad_weights
     for k, succ in enumerate(lattice.successors):
         want = np.interp(succ.ravel(), xs, values).reshape(succ.shape) @ w
-        assert lattice.expect(k, values).tobytes() == want.tobytes()
+        assert lattice.expect(k, values).tobytes() == want.transpose(1, 2, 0).tobytes()
 
 
 def test_lattice_stores_one_slab_per_distinct_step():
@@ -551,11 +557,30 @@ def test_lattice_stores_one_slab_per_distinct_step():
     part = make_uniform_partition(0.0, 0.5, 1600)
     lattice = build_lattice(spec, grid, part)
     slab_bytes = grid.nodes * 2 * 2 * lattice.quad_points * 8
-    assert lattice.slabs.shape[0] == 12
+    assert lattice.slabs.shape == (12, 2, 2, grid.nodes, lattice.quad_points)
     assert lattice.slabs.nbytes <= 12 * slab_bytes
     assert lattice.slab_of.shape == (part.intervals,)
     assert np.array_equal(lattice.successors, _oracle_successors(spec, grid, part))
     _assert_expect_matches_successors(lattice, np.cos(grid.xs))
+
+
+def test_one_by_one_expect_is_within_four_ulps_of_successors():
+    # kv = 1: expect contracts the (nodes, q) successors of the one action
+    # pair with one gemv, where @ on the (nodes, 1, 1, q) view takes a dot
+    # per node, so the two may round differently in the last bits.  Values
+    # of both signs cancel, so the bound scales with the sum of |terms|.
+    spec = singleton_problem()
+    grid = SpatialGrid(-6.0, 6.0, 641)
+    lattice = build_lattice(spec, grid, make_uniform_partition(0.0, 0.5, 4))
+    values = np.random.default_rng(3).normal(size=grid.nodes)
+    xs, w = grid.xs, lattice.quad_weights
+    for k, succ in enumerate(lattice.successors):
+        contin = np.interp(succ.ravel(), xs, values).reshape(succ.shape)
+        want = (contin @ w).transpose(1, 2, 0)
+        scale = (np.abs(contin) @ w).transpose(1, 2, 0)
+        got = lattice.expect(k, values)
+        assert got.shape == want.shape == (1, 1, grid.nodes)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(scale))
 
 
 @pytest.mark.parametrize("times, slab_of", [
@@ -570,50 +595,13 @@ def test_lattice_slab_of_maps_each_interval_to_its_step(times, slab_of):
     part = Partition(np.array(times))
     lattice = build_lattice(spec, grid, part)
     assert lattice.slab_of.tolist() == slab_of
-    assert lattice.slabs.shape == (max(slab_of) + 1, grid.nodes, 3, 2, 3)
+    assert lattice.slabs.shape == (max(slab_of) + 1, 3, 2, grid.nodes, 3)
     assert np.array_equal(lattice.successors, _oracle_successors(spec, grid, part))
     assert lattice.moment_errors(spec) == _oracle_moment_errors(spec, lattice)
     _assert_expect_matches_successors(lattice, np.sin(grid.xs) + 0.1 * grid.xs)
     # a slab stands for several intervals, so it cannot be written through
     with pytest.raises(ValueError):
         lattice.slabs[0, 0, 0, 0, 0] = 0.0
-
-
-# --- the DP sweep's action folds against numpy's axis reductions ---------------------
-
-
-def _tied_actions(shape, rng):
-    """Entries from {-1, -0.0, +0.0, 1}, so most comparisons tie, zero signs included."""
-    return rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), size=shape)
-
-
-@pytest.mark.parametrize("ku, kv", [(1, 1), (2, 2), (3, 2), (2, 4)])
-def test_action_folds_match_reductions_bitwise(ku, kv):
-    rng = np.random.default_rng(ku * 10 + kv)
-    f = _tied_actions((97, ku, kv), rng)
-    # the last column repeats the first, so a tie spans the whole action axis
-    f[:, :, -1] = f[:, :, 0]
-    # the sweep's layouts: the (kv, nodes, ku) view of f, and the column
-    # extremes as the transpose of a C-ordered (kv, nodes) array
-    f_v = f.transpose(2, 0, 1)
-    per_row = (f.min(axis=2), f.max(axis=2))
-    per_col = tuple(np.ascontiguousarray(g.T).T for g in (f.min(axis=1), f.max(axis=1)))
-    for op in (np.minimum, np.maximum):
-        assert engine._fold(op, f).tobytes() == op.reduce(f, axis=2).tobytes()
-        assert engine._fold(op, f_v).T.tobytes() == op.reduce(f, axis=1).tobytes()
-        for rows in per_row + per_col:
-            assert engine._fold(op, rows).tobytes() == op.reduce(rows, axis=1).tobytes()
-    for better, arg in ((np.greater, np.argmax), (np.less, np.argmin)):
-        assert np.array_equal(engine._arg_fold(better, f), arg(f, axis=2))
-        assert np.array_equal(engine._arg_fold(better, f_v).T, arg(f, axis=1))
-        for rows in per_row + per_col:
-            assert np.array_equal(engine._arg_fold(better, rows), arg(rows, axis=1))
-
-
-def test_arg_fold_keeps_the_lowest_tied_index():
-    a = np.array([[0.0, -0.0, 0.0], [1.0, 2.0, 2.0], [3.0, 1.0, 3.0], [-1.0, -2.0, -2.0]])
-    assert engine._arg_fold(np.greater, a).tolist() == [0, 1, 0, 0]
-    assert engine._arg_fold(np.less, a).tolist() == [0, 0, 1, 1]
 
 
 def _oracle_sweep(spec, lattice, node_rule, starts):
@@ -627,7 +615,8 @@ def _oracle_sweep(spec, lattice, node_rule, starts):
     v_plain = np.zeros((len(starts), grid.nodes), dtype=int)
     v_counter = np.zeros((len(starts), grid.nodes, ku), dtype=int)
     for k in range(n - 1, -1, -1):
-        f = lattice.expect(k, values[k + 1])
+        # expect is laid out (ku, kv, nodes); the oracle reads it as (nodes, ku, kv)
+        f = lattice.expect(k, values[k + 1]).transpose(2, 0, 1)
         row_floor = f.min(axis=2)
         lower = row_floor.max(axis=1)
         col_ceil = f.max(axis=1)

@@ -161,7 +161,7 @@ def _oracle_generator_tensor(spec, t, X, grads, hesses):
     """generator_tensor written pair by pair, one drift/diffusion call per pair."""
     n = X.shape[0]
     ku, kv = spec.actions_u.size, spec.actions_v.size
-    out = np.empty((n, ku, kv))
+    out = np.empty((ku, kv, n))
     for a in range(ku):
         U = np.broadcast_to(spec.actions_u.array[a], (n, spec.actions_u.dim))
         for b in range(kv):
@@ -169,7 +169,7 @@ def _oracle_generator_tensor(spec, t, X, grads, hesses):
             bvec = spec.drift(t, X, U, V)
             sig = spec.diffusion(t, X, U, V)
             a2 = np.einsum("nik,njk->nij", sig, sig)
-            out[:, a, b] = np.einsum("ni,ni->n", bvec, grads) + 0.5 * np.einsum(
+            out[a, b] = np.einsum("ni,ni->n", bvec, grads) + 0.5 * np.einsum(
                 "nij,nij->n", a2, hesses
             )
     return out
@@ -212,5 +212,5 @@ def test_generator_tensor_matches_per_pair_oracle_bitwise(family, d, d_prime):
     spec = _generator_problem(family, d, d_prime, rng, u_values, v_values)
     X, G, H = _random_batch(d, rng)
     tens = generator_tensor(spec, 0.2, X, G, H)
-    assert tens.shape == (9, 3, 2)
+    assert tens.shape == (3, 2, 9)
     assert np.array_equal(tens, _oracle_generator_tensor(spec, 0.2, X, G, H))

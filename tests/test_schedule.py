@@ -110,6 +110,8 @@ def test_block_larger_than_partition_gives_one_block():
     part = make_uniform_partition(0.0, 1.0, 8)
     _, subgrid = make_marks(part, HALF, 100)
     assert subgrid.indices == (0, 8)
+    _, subgrid = make_marks(part, HALF, 8)
+    assert subgrid.indices == (0, 8)
 
 
 def test_greedy_deviation_bounded_by_one_step():
@@ -163,8 +165,9 @@ def test_make_marks_validation():
 def test_check_density_validation():
     part = make_uniform_partition(0.0, 1.0, 10)
     marks, subgrid = make_marks(part, HALF, 5)
-    with pytest.raises(ScheduleError):
-        check_density(part, marks, subgrid, HALF, epsilon=0.0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ScheduleError):
+            check_density(part, marks, subgrid, HALF, epsilon=bad)
     with pytest.raises(ScheduleError):
         check_density(part, MarkSequence((1,) * 9), subgrid, HALF, epsilon=0.5)
     with pytest.raises(ScheduleError):

@@ -4,6 +4,8 @@ import pytest
 from isaacslab.static_game import (
     LocalGameMatrix,
     StaticGameError,
+    local_saddle,
+    local_values,
     lower_value,
     mix,
     mixed_value,
@@ -29,6 +31,42 @@ def test_lower_upper_on_uv_game():
     assert beta.tolist() == [1, 0]
     assert alpha.tolist() == [0, 1]
     assert u_star == 0 and v_star == 0  # ties break to the lowest index
+
+
+def _tied_actions(shape, rng):
+    """Entries from {-1, -0.0, +0.0, 1}, so most comparisons tie, zero signs included."""
+    return rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), size=shape)
+
+
+@pytest.mark.parametrize("batch", [(), (97,)], ids=["single", "batch97"])
+@pytest.mark.parametrize("ku, kv", [(1, 1), (2, 2), (3, 2), (2, 4)])
+def test_local_kernels_match_reductions_bitwise(ku, kv, batch):
+    rng = np.random.default_rng(ku * 10 + kv + len(batch))
+    f = _tied_actions((ku, kv) + batch, rng)
+    # the last column repeats the first, so a tie spans the whole v axis
+    f[:, -1] = f[:, 0]
+    row_floor = np.minimum.reduce(f, axis=1)
+    col_ceil = np.maximum.reduce(f, axis=0)
+    want = (
+        np.maximum.reduce(row_floor, axis=0),
+        np.minimum.reduce(col_ceil, axis=0),
+        np.argmax(row_floor, axis=0),
+        np.argmax(f, axis=0),
+        np.argmin(col_ceil, axis=0),
+        np.argmin(f, axis=1),
+    )
+    for got, ref in zip(local_saddle(f) + local_values(f), want + want[:2]):
+        got, ref = np.asarray(got), np.asarray(ref)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_local_saddle_keeps_the_lowest_tied_index():
+    rows = np.array([[0.0, -0.0, 0.0], [1.0, 2.0, 2.0], [3.0, 1.0, 3.0], [-1.0, -2.0, -2.0]])
+    # as f[u, v] = rows.T, u's counter to column j is the argmax of rows[j]
+    assert local_saddle(rows.T)[3].tolist() == [0, 1, 0, 0]
+    # as f[u, v] = rows, v's counter to row i is the argmin of rows[i]
+    assert local_saddle(rows)[5].tolist() == [0, 0, 1, 1]
 
 
 def test_lower_upper_on_integer_matrix():
