@@ -250,11 +250,12 @@ def _cmd_pde(cfg: Config, out: Path, prefix: str) -> list[str]:
     name = f"{prefix}_pde.csv"
     _field_csv(out / name, field, indices)
     sname = f"{prefix}_pde_summary.csv"
+    # a zero-length horizon is solved in no step
+    step = float(field.times[1] - field.times[0]) if steps else 0.0
     write_csv(
         out / sname,
         ["hamiltonian", "dt", "steps", "value_at_start"],
-        [[mode, float(field.times[1] - field.times[0]), steps,
-          field.value_at(spec.start_time, spec.start_state[0])]],
+        [[mode, step, steps, field.value_at(spec.start_time, spec.start_state[0])]],
     )
     return [name, sname]
 

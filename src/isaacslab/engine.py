@@ -14,10 +14,11 @@ value, the probabilistic counterpart of the solver's zero-slope boundary.
 
 Each interval is a batch of one-period matrix games on the continuation
 values, one per node, valued by :mod:`isaacslab.static_game`'s kernels.
-Who moves second is decided per interval: by a 0/1 mark (deterministic
-rule) or by a coin with P(heads) = p(t_k, x) (random rule); heads means v
-sees u.  Backward induction therefore values each node at the lower value
-(mark 1), the upper value (mark 0), or their p-blend (random rule), and
+Who moves second is decided per interval by a priority p, the probability
+that v sees u: a 0/1 mark (deterministic rule) is a p of 1 or 0, and the
+coin rule reads p(t_k), or p(t_k, x) at each state.  Backward induction
+values each node at the p-blend of the lower and upper values, which is
+the lower value itself at p = 1 and the upper value itself at p = 0, and
 the maximizing/minimizing choices yield Markov strategy tables: a plain
 action for leading and a counter map for responding.
 
@@ -89,35 +90,36 @@ class GridTooCoarseError(EngineError):
 # --- randomness ----------------------------------------------------------------
 
 
-class NoiseSource:
+class _SeededStream:
+    """A seeded generator and a count of its draws; numpy takes no negative seed."""
+
+    def __init__(self, seed: int):
+        self.seed = int(seed)
+        if self.seed < 0:
+            raise EngineError(f"seed must be non-negative, got {self.seed}")
+        self._rng = np.random.default_rng(self.seed)
+        self.draws = 0
+
+
+class NoiseSource(_SeededStream):
     """Seeded stream of Gaussian increments for the Euler sub-steps.
 
     Draw order is fixed (one (paths, noise_dim) block per sub-step), so
     two runs with equal seeds and equal shapes see identical noise.
     """
 
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
-        self.draws = 0
-
     def increments(self, paths: int, noise_dim: int, dt: float) -> np.ndarray:
         self.draws += paths * noise_dim
         return self._rng.normal(0.0, np.sqrt(dt), size=(paths, noise_dim))
 
 
-class CoinSource:
+class CoinSource(_SeededStream):
     """Seeded stream of uniforms on [0, 1) deciding who moves second.
 
     Kept separate from the noise stream so that consuming coins never
     shifts the Gaussian draws; uniform draws compared against p are
     exactly as good as transformed normals for a Bernoulli(p) outcome.
     """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
-        self.draws = 0
 
     def uniforms(self, paths: int) -> np.ndarray:
         self.draws += paths
@@ -467,12 +469,14 @@ def _dp_sweep(
     mode: str,
     spec: ProblemSpec,
     lattice: TransitionModel,
-    node_rule,
+    p_steps,
     strategy_starts: tuple[int, ...],
 ) -> GameValueTables:
     """Shared backward loop.
 
-    ``node_rule(k, lower, upper)`` returns the node values for interval k.
+    Interval k values each node at mix(p, lower, upper) of its local game,
+    with p = p_steps[k], one priority per interval (a 0/1 mark or a
+    tabulated p(t_k)), or p(t_k, x) at the nodes when ``p_steps`` is None.
     Strategy rows are extracted at each index in ``strategy_starts`` from
     that interval's local games by :func:`local_saddle`; a tied best
     action resolves to the lowest index.  Every other interval needs only
@@ -480,11 +484,11 @@ def _dp_sweep(
     """
     grid = lattice.grid
     partition = lattice.partition
-    xs = grid.xs
+    X = grid.xs[:, None]
     n = partition.intervals
     ku, kv = spec.actions_u.size, spec.actions_v.size
     values = np.empty((n + 1, grid.nodes))
-    values[n] = spec.payoff_values(xs[:, None])
+    values[n] = spec.payoff_values(X)
     rows = len(strategy_starts)
     u_plain = np.zeros((rows, grid.nodes), dtype=int)
     u_counter = np.zeros((rows, grid.nodes, kv), dtype=int)
@@ -502,7 +506,8 @@ def _dp_sweep(
             u_counter[r] = uc.T
             v_counter[r] = vc.T
         worst = max(worst, float(np.max(lower - upper)))
-        values[k] = node_rule(k, lower, upper)
+        p = spec.priority_values(float(partition.times[k]), X) if p_steps is None else p_steps[k]
+        values[k] = mix(p, lower, upper)
     return GameValueTables(
         mode=mode,
         grid=grid,
@@ -526,19 +531,12 @@ def dp_value_random(
     are extracted at every interval.
     """
     _check_lattice(partition, lattice)
-    xs = lattice.grid.xs[:, None]
     p_steps = None
     if spec.priority.time_only:
         # tabulated in sweep order, so a range error names the t the sweep meets first
         p_steps = spec.priority.time_values(partition.times[-2::-1]).tolist()[::-1]
-
-    def node_rule(k: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-        if p_steps is not None:
-            return mix(p_steps[k], lower, upper)
-        return mix(spec.priority_values(float(partition.times[k]), xs), lower, upper)
-
     starts = tuple(range(partition.intervals))
-    return _dp_sweep("random", spec, lattice, node_rule, starts)
+    return _dp_sweep("random", spec, lattice, p_steps, starts)
 
 
 def dp_value_deterministic(
@@ -550,26 +548,25 @@ def dp_value_deterministic(
 ) -> GameValueTables:
     """Backward induction under a fixed mark sequence.
 
-    Interval k is valued at the lower value when its mark is 1 (v sees u)
-    and at the upper value when 0; no blending is involved.  Strategy rows
-    are extracted once per sub-grid block, at the block's first interval,
+    Mark k is interval k's priority: 1 (v sees u) gives the lower value
+    and 0 the upper value, as ``mix`` returns them.  Strategy rows are
+    extracted once per sub-grid block, at the block's first interval,
     so actions persist across the block as the marks flip inside it.
     Requires a time-only priority, the regime the mark density refers to.
     """
     _check_lattice(partition, lattice)
+    _check_marks(spec, partition, marks)
+    if subgrid.indices[-1] != partition.intervals:
+        raise ScheduleError("sub-grid must end at the last partition index")
+    starts = subgrid.indices[:-1]
+    return _dp_sweep("deterministic", spec, lattice, marks.marks, starts)
+
+
+def _check_marks(spec: ProblemSpec, partition: Partition, marks: MarkSequence) -> None:
     if not spec.priority.time_only:
         raise ScheduleError("deterministic marks need a time-only priority")
     if len(marks) != partition.intervals:
         raise ScheduleError("need one mark per partition interval")
-    if subgrid.indices[-1] != partition.intervals:
-        raise ScheduleError("sub-grid must end at the last partition index")
-    xi = marks.array
-
-    def node_rule(k: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-        return lower if xi[k] == 1 else upper
-
-    starts = subgrid.indices[:-1]
-    return _dp_sweep("deterministic", spec, lattice, node_rule, starts)
 
 
 def _check_lattice(partition: Partition, lattice: TransitionModel) -> None:
@@ -718,8 +715,10 @@ def _play(
     (paths, noise_dim) block, and every pair moves on those same draws:
     common random numbers, so each pair's result is bitwise what it gets
     when played alone on sources with the same seeds.  The loop is
-    sub-step-major, so one noise block is live at a time.  A time-only or
-    marked rule settles one heads vector per interval for all pairs; a
+    sub-step-major, so one noise block is live at a time.  The rule is a
+    priority per interval: a mark is 1 or 0 and sets heads on every path
+    with no coin drawn, a time-only p is compared with that interval's
+    coins, and both settle one heads vector for all pairs; a
     state-dependent p is read at each pair's own states.  A lane is frozen
     per interval as (drift step, sigma) gathered by the flat pair index
     iu * kv + iv from one action-pair table when the coefficients ignore
@@ -740,17 +739,15 @@ def _play(
             or strat_v.grid.nodes != grid.nodes
         ):
             raise EngineError("both strategies must share one lookup grid")
-    p_steps = None
+    # one priority per interval, or None for p read at each path's state;
+    # marks are priorities of 0 or 1 and toss no coin
+    p_steps = coin_source = None
     if isinstance(mode, DeterministicMode):
-        if not spec.priority.time_only:
-            raise ScheduleError("deterministic marks need a time-only priority")
-        if len(mode.marks) != partition.intervals:
-            raise ScheduleError("need one mark per partition interval")
-        xi = mode.marks.array
+        _check_marks(spec, partition, mode.marks)
+        p_steps = mode.marks.marks
     elif isinstance(mode, RandomMode):
-        xi = None
+        coin_source = mode.coins
         if spec.priority.time_only:
-            # a time-only p is one float per interval: no per-path array
             p_steps = spec.priority.time_values(partition.times[:-1]).tolist()
     else:
         raise EngineError("mode must be DeterministicMode or RandomMode")
@@ -774,18 +771,18 @@ def _play(
     for k in range(n):
         t_prev = float(partition.times[k])
         dt_sub = float(partition.steps[k]) / substeps
-        if xi is not None:
-            heads = np.full(paths, bool(xi[k]))
+        if coin_source is None:
+            heads = np.full(paths, p_steps[k] == 1)
             coins = None
         else:
-            coins = mode.coins.uniforms(paths)
+            coins = coin_source.uniforms(paths)
             if p_steps is not None:
                 heads = coins < p_steps[k]
         frozen = []
         for i, (strat_u, strat_v) in enumerate(pairs):
             prev = prevs[i]  # read first, so no older node array outlives this one
             nodes = strat_u.grid.nearest_index(xs[i])
-            if xi is None and p_steps is None:
+            if p_steps is None:
                 heads = coins < spec.priority_values(t_prev, xs[i][:, None])
             u_plain = strat_u.plain_actions(k, nodes, prev)
             v_plain = strat_v.plain_actions(k, nodes, prev)

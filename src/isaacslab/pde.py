@@ -1,13 +1,13 @@
 """Monotone explicit finite differences for the priority-weighted Isaacs equation.
 
 The terminal-value problem  -v_t - H(t, x, v_x, v_xx) = 0,  v(T, .) = g
-is marched backward in time on a uniform interval grid.  H is one of
+is marched backward in time on a uniform interval grid.  H is the blend
 
-    lower:  max_u min_v L,   upper:  min_v max_u L,
-    mixed:  p(t, x) * lower + (1 - p(t, x)) * upper,
+    H = p * (max_u min_v L) + (1 - p) * (min_v max_u L)
 
 with L(t,x,u,v; q, M) = b q + 0.5 (sigma sigma^T) M evaluated per action
-pair.  First derivatives are upwinded against the sign of b inside the
+pair; every mode is a priority per step (lower p = 1, upper p = 0, mixed
+p(t, x)).  First derivatives are upwinded against the sign of b inside the
 action-pair enumeration, second derivatives are central, and the boundary
 uses zero-slope ghost copies.  Under the step bound from
 :func:`cfl_max_dt` every update is a convex combination of neighboring
@@ -25,8 +25,9 @@ built once before the march and :func:`cfl_max_dt` scans one table; each
 step is then a few whole-array operations on preallocated buffers, with
 the lower and upper Hamiltonians taken by
 :func:`isaacslab.static_game.local_values` on the (ku, kv, n) generator
-and blended by :func:`isaacslab.static_game.mix`.  A time-only
-priority is tabulated over the step times once per solve, as the paper's
+and blended by :func:`isaacslab.static_game.mix`, which returns the lower
+or upper array itself at p = 1 or 0.  The one-sided modes and a time-only
+priority are tabulated over the step times once per solve, as the paper's
 rules for a state-independent p can be set in advance, so the blend takes
 one float per step; a state-dependent priority is evaluated on the nodes
 at every step.
@@ -224,11 +225,11 @@ def solve(
     The update is v(t - dt, x) = v(t, x) + dt * H(t, x, Dv(t), D2v(t)):
     coefficients, priority and differences all read the known slice.
     The coefficients ignore t, so the coefficient table
-    (:func:`coefficient_table`) is built once before the march.  In mixed
-    mode a time-only priority is tabulated once over the step times
-    (:meth:`PrioritySpec.time_values`, which raises before the march if p
-    leaves [0, 1]) and blended as one float per step; a state-dependent
-    priority is evaluated on the nodes at every step.
+    (:func:`coefficient_table`) is built once before the march.  Each step
+    blends lower and upper by its priority: 1.0 (lower) or 0.0 (upper) at
+    every step, or in mixed mode a time-only p tabulated once over the step
+    times (:meth:`PrioritySpec.time_values`, which raises before the march
+    if p leaves [0, 1]) or a state-dependent p evaluated on the nodes.
     """
     if hamiltonian not in ("lower", "upper", "mixed"):
         raise PdeError(f"unknown hamiltonian mode {hamiltonian!r}")
@@ -272,10 +273,14 @@ def solve(
     b_plus = np.where(b >= 0.0, b, 0.0)
     b_minus = np.where(b >= 0.0, 0.0, b)
     half_s2 = 0.5 * s2
-    p_steps = None
-    if hamiltonian == "mixed" and spec.priority.time_only:
-        # p at each known slice, in march order: p_steps[m - k] is p(times[k])
+    # p at each known slice, in march order: p_steps[m - k] is p(times[k]);
+    # None when p depends on the state and is read at the nodes every step
+    if hamiltonian != "mixed":
+        p_steps = [1.0 if hamiltonian == "lower" else 0.0] * m
+    elif spec.priority.time_only:
         p_steps = spec.priority.time_values(times[:0:-1])
+    else:
+        p_steps = None
     for k in range(m, 0, -1):
         We[0] = W[0]
         We[-1] = W[-1]
@@ -291,16 +296,8 @@ def solve(
         np.multiply(b_plus, forward, out=gen)
         gen += np.multiply(b_minus, backward, out=term)
         gen += np.multiply(half_s2, second, out=term)
-        low, up = local_values(gen)
-        if hamiltonian == "lower":
-            H = low
-        elif hamiltonian == "upper":
-            H = up
-        elif p_steps is not None:
-            H = mix(p_steps[m - k], low, up)
-        else:
-            H = mix(spec.priority_values(float(times[k]), X), low, up)
-        W += dt_eff * H
+        p = spec.priority_values(float(times[k]), X) if p_steps is None else p_steps[m - k]
+        W += dt_eff * mix(p, *local_values(gen))
         # NaN fails both comparisons and an infinity fails a bound
         lo, hi = W.min(), W.max()
         if not (lo >= lo_bound and hi <= hi_bound):

@@ -407,12 +407,13 @@ class PayoffSpec:
 # --- priority families --------------------------------------------------------
 #
 # Batch convention: value(params, d, t, X) takes X of shape (n, d) and
-# returns (n,).  t is a float, or an array of n times for a time-only
-# priority: each family broadcasts an array t elementwise (np.full, or
-# w0 + wt * t + X @ wx with X = 0), so PrioritySpec.time_values tabulates
-# p over a time grid in one call, bitwise equal to value(t_i, X) at every
-# node; test_every_priority_family_time_values_match_scalar checks every
-# registered family.
+# returns (n,).  t is a float, or an array of n times, one per row of X:
+# each family broadcasts an array t elementwise (np.full, or
+# w0 + wt * t + X @ wx).  So PrioritySpec.time_values tabulates a time-only
+# p over a time grid in one call on X = 0, bitwise equal to value(t_i, X)
+# at every node (test_every_priority_family_time_values_match_scalar checks
+# every registered family), and validate_assumptions reads all its samples
+# in one call.
 
 
 class _ConstantPriority:
@@ -503,11 +504,12 @@ class PrioritySpec:
             return bool(np.all(np.asarray(self.params)[2:] == 0.0))
         return fam.time_only
 
+    def _family_values(self, t, X: np.ndarray) -> np.ndarray:
+        """The family's values under the batch convention, not range-checked."""
+        return _PRIORITY_FAMILIES[self.family].value(np.asarray(self.params), self.dim, t, X)
+
     def value(self, t: float, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = _PRIORITY_FAMILIES[self.family].value(
-            np.asarray(self.params), self.dim, t, X
-        )
+        out = self._family_values(t, np.asarray(X, dtype=float))
         if out.size and (out.min() < 0.0 or out.max() > 1.0):
             raise ProblemError(
                 f"priority family {self.family!r} left [0, 1] at t={t}"
@@ -527,9 +529,7 @@ class PrioritySpec:
         if not self.time_only:
             raise ProblemError("state required: priority is state-dependent")
         t = np.asarray(times, dtype=float)
-        out = _PRIORITY_FAMILIES[self.family].value(
-            np.asarray(self.params), self.dim, t, np.zeros((t.size, self.dim))
-        )
+        out = self._family_values(t, np.zeros((t.size, self.dim)))
         bad = (out < 0.0) | (out > 1.0)
         if bad.any():
             raise ProblemError(
@@ -709,8 +709,8 @@ def validate_assumptions(
     U = spec.actions_u.array[rng.integers(0, spec.actions_u.size, n)]
     V = spec.actions_v.array[rng.integers(0, spec.actions_v.size, n)]
 
-    # the families ignore t (see the batch convention), so one call per point
-    # set serves every sampled time
+    # the coefficient families ignore t (see the batch convention), so one
+    # call per point set serves every sampled time
     bx, by = spec.drift(t, X, U, V), spec.drift(t, Y, U, V)
     sx, sy = spec.diffusion(t, X, U, V), spec.diffusion(t, Y, U, V)
     gap = _row_norms(X - Y)
@@ -721,7 +721,9 @@ def validate_assumptions(
     growth_obs = float(np.max(size / (1.0 + _row_norms(X)), initial=0.0))
 
     payoff_obs = float(np.max(np.abs(spec.payoff_values(X))))
-    pvals = np.concatenate([spec.priority_values(ti, Xi[None, :]) for ti, Xi in zip(t, X)])
+    # one call over all samples, each row at its own time (the batch
+    # convention), and unchecked, so a p outside [0, 1] is reported below
+    pvals = spec.priority._family_values(t, X)
     lip_decl = spec.coefficients.lipschitz_bound(spec.actions_u, spec.actions_v)
     growth_decl = spec.coefficients.growth_bound(spec.actions_u, spec.actions_v)
     bound_decl = spec.payoff.bound

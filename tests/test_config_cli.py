@@ -443,3 +443,34 @@ def test_cli_converge_zero_horizon(tmp_path):
         assert float(r["sup_gap_window"]) == 0.0
         assert float(r["dp_at_start"]) == 1.0
         assert float(r["mc_mean"]) == 1.0
+
+
+def test_cli_pde_zero_horizon(tmp_path):
+    # start time = horizon: no step is taken and the value is g(x0) = cos 0
+    cfg = write_cfg(tmp_path, BILINEAR_CFG + "problem.start.time = 0.5\n")
+    assert cli.main(["pde", "--config", cfg, "--out", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / "pde_pde.csv")
+    assert len(rows) == 1
+    xs = np.array([float(tok) for tok in header[1:]])
+    assert np.array_equal(np.array([float(tok) for tok in rows[0][1:]]), np.cos(xs))
+    sheader, srows = read_rows(tmp_path / "pde_pde_summary.csv")
+    row = dict(zip(sheader, srows[0]))
+    assert int(row["steps"]) == 0
+    assert float(row["dt"]) == 0.0
+    assert float(row["value_at_start"]) == 1.0
+    assert (tmp_path / "pde_pde_manifest.txt").exists()
+
+
+def test_cli_simulate_negative_seed_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BILINEAR_CFG + "discretization.partition.n = 4\nrun.paths = 10\n")
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path), "--seed", "-5"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "simulate_simulate_manifest.txt").exists()
+
+
+def test_cli_converge_negative_coin_seed_exits_2(tmp_path, capsys):
+    text = BILINEAR_CFG + "run.levels = 2, 4\nrun.paths = 10\nrun.coin_seed = -1\n"
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "converge_converge_manifest.txt").exists()

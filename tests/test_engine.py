@@ -51,6 +51,13 @@ def test_coin_source():
     assert src.draws == 11
 
 
+@pytest.mark.parametrize("source", [NoiseSource, CoinSource])
+def test_negative_seed_is_an_engine_error(source):
+    with pytest.raises(EngineError, match="^seed must be non-negative, got -1$"):
+        source(-1)
+    assert source(0).seed == 0
+
+
 def test_noise_increment_scaling():
     # increments are N(0, dt)
     draws = NoiseSource(1).increments(200_000, 1, 0.01)

@@ -281,6 +281,15 @@ def test_validate_assumptions_constant_coefficients():
     assert report.passed
 
 
+def test_validate_assumptions_reports_priority_outside_unit_interval():
+    # p = 0.3 + 4 t reaches 2.3 at T = 0.5: reported as a failure, not raised
+    spec = bilinear_problem(prio_family="linear_time", prio_params=(0.3, 4.0))
+    report = validate_assumptions(spec, samples=2000, seed=seed)
+    assert not report.passed
+    assert report.failures == ("priority left [0, 1]",)
+    assert 0.3 <= report.priority_min < 1.0 < report.priority_max <= 2.3
+
+
 def _oracle_observed_constants(spec, box_radius, samples, seed):
     # the per-sample loop that validate_assumptions batches: one drift and
     # one diffusion call per sample and point, norms of single rows

@@ -1,0 +1,114 @@
+"""Median CPU time of the solver layers on the benchmark game.
+
+Usage: python3 tools/time_layers.py [pde|dp|play ...] [R]
+
+Every layer runs on configs/benchmark.cfg (p = 0.5) on [-8, 8], R times
+per call (default 5), with BLAS on one thread, and prints the median CPU
+seconds of the call alone; with no layer named, all three run.
+- pde: pde.solve for the lower, upper and mixed Hamiltonians at 641, 1281
+  and 2561 nodes at the CFL step.
+- dp: dp_value_random, which extracts strategy rows at every interval, and
+  dp_value_deterministic on blocks of 40 intervals (10 at 100 intervals),
+  which extracts them once per block, at 641 nodes x 1600 intervals and at
+  2561 nodes x 100 intervals.  Building the lattice and the marks is not
+  timed.
+- play: on the random-rule DP at 641 nodes x 100 intervals, simulate of the
+  saddle strategies with 100k paths x 4 Euler sub-steps; the same with the
+  drift swapped for the state-dependent affine family b = -x, which
+  evaluates its coefficients at every sub-step; and exploitability for each
+  frozen side, 16 challengers x 20k paths x 4 sub-steps.
+"""
+import dataclasses
+import os
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from isaacslab import cli, config, engine, pde, schedule  # noqa: E402
+from isaacslab.problem import CoefficientSpec  # noqa: E402
+
+
+def median_cpu(call, repeats: int) -> float:
+    runs = []
+    for _ in range(repeats):
+        c0 = time.process_time()
+        call()
+        runs.append(time.process_time() - c0)
+    return float(np.median(runs))
+
+
+def time_pde(spec, repeats: int) -> None:
+    modes = ("lower", "upper", "mixed")
+    print("nodes  " + "  ".join(f"{mode:>8}" for mode in modes) + "   (median CPU s)")
+    for nodes in (641, 1281, 2561):
+        grid = pde.SpatialGrid(-8.0, 8.0, nodes)
+        dt = pde.cfl_max_dt(spec, grid)
+        medians = [
+            median_cpu(lambda mode=mode: pde.solve(spec, grid, dt, hamiltonian=mode), repeats)
+            for mode in modes
+        ]
+        print(f"{nodes:5d}  " + "  ".join(f"{s:8.3f}" for s in medians))
+
+
+def time_dp(spec, repeats: int) -> None:
+    print("nodes  intervals    random  deterministic   (median CPU s over", repeats, "runs)")
+    for nodes, intervals, block in ((641, 1600, 40), (2561, 100, 10)):
+        grid = pde.SpatialGrid(-8.0, 8.0, nodes)
+        part = schedule.make_uniform_partition(0.0, spec.horizon, intervals)
+        lattice = engine.build_lattice(spec, grid, part)
+        marks, subgrid = schedule.make_marks(part, spec.priority, block)
+        rand = median_cpu(lambda: engine.dp_value_random(spec, part, lattice), repeats)
+        det = median_cpu(
+            lambda: engine.dp_value_deterministic(spec, part, marks, subgrid, lattice), repeats
+        )
+        print(f"{nodes:5d}  {intervals:9d}  {rand:8.3f}  {det:13.3f}")
+
+
+def time_play(spec, repeats: int) -> None:
+    grid = pde.SpatialGrid(-8.0, 8.0, 641)
+    part = schedule.make_uniform_partition(0.0, spec.horizon, 100)
+    tables = engine.dp_value_random(spec, part, engine.build_lattice(spec, grid, part))
+    affine = dataclasses.replace(
+        spec,
+        coefficients=CoefficientSpec("affine", (0.0, -1.0, np.sqrt(2.0)), dim=1, noise_dim=1),
+    )
+    calls = {
+        f"simulate 100k{label}": lambda game=game: engine.simulate(
+            game, part, engine.RandomMode(engine.CoinSource(1)), tables.strategy_u,
+            tables.strategy_v, 100_000, 4, engine.NoiseSource(0),
+        )
+        for label, game in (("", spec), (" affine", affine))
+    }
+    for side, strategy in (("u", tables.strategy_u), ("v", tables.strategy_v)):
+        calls[f"exploitability {side} 16x20k"] = lambda side=side, strategy=strategy: (
+            engine.exploitability(spec, part, "random", side, strategy, 16, 1,
+                                  tables=tables, paths=20_000, substeps=4)
+        )
+    print("641 nodes x 100 intervals, median CPU s over", repeats, "runs")
+    for name, call in calls.items():
+        print(f"{name:26s} {median_cpu(call, repeats):8.3f}")
+
+
+LAYERS = {"pde": time_pde, "dp": time_dp, "play": time_play}
+
+
+def main(args: list[str]) -> None:
+    repeats = int(args.pop()) if args and args[-1].isdigit() else 5
+    unknown = [name for name in args if name not in LAYERS]
+    if unknown:
+        sys.exit(f"unknown layer {unknown[0]!r}; choose from {', '.join(LAYERS)}")
+    spec = cli.problem_from_config(config.load_config(ROOT / "configs" / "benchmark.cfg"))
+    for name in args or LAYERS:
+        LAYERS[name](spec, repeats)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
