@@ -24,16 +24,20 @@ action for leading and a counter map for responding.
 
 Monte Carlo play re-runs the same rounds forward with Euler sub-steps and
 frozen actions per interval, snapping states to the nearest node for
-strategy lookup while keeping raw states for the dynamics.  When the
-coefficient family ignores the state, the coefficients are frozen with the
-actions: each path's drift step and sigma are read once per interval from
-the action-pair table, and a sub-step only adds the noise.  Coins and
-Gaussian increments come from separate seeded streams, and one coin per
-interval is always consumed, so trajectories under different priorities
-are driven by identical noise.  Several strategy pairs can advance in
-lockstep on one stream of coins and noise (common random numbers): the
-exploitability roster is played that way, so challengers differ by their
-strategies alone and never by their draws.
+strategy lookup while keeping raw states for the dynamics.  A pair of
+Markov tables plays by node and coin alone, so its interval is resolved
+once per (coin face, node) key, 2 * nodes of them, and each path reads its
+frozen lane by key; strategies that remember the previous node are
+resolved per path.  When the coefficient family ignores the state, the
+coefficients are frozen with the actions: each drift step and sigma is
+read once per interval from the action-pair table, and a sub-step only
+adds the noise, in place.  Coins and Gaussian increments come from
+separate seeded streams, and one coin per interval is always consumed, so
+trajectories under different priorities are driven by identical noise.
+Several strategy pairs can advance in lockstep on one stream of coins and
+noise (common random numbers): the exploitability roster is played that
+way, so challengers differ by their strategies alone and never by their
+draws.
 """
 
 from __future__ import annotations
@@ -90,13 +94,19 @@ class GridTooCoarseError(EngineError):
 # --- randomness ----------------------------------------------------------------
 
 
+def _check_seed(seed: int) -> int:
+    """The seed as an int; numpy takes no negative seed, so one raises here."""
+    seed = int(seed)
+    if seed < 0:
+        raise EngineError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 class _SeededStream:
-    """A seeded generator and a count of its draws; numpy takes no negative seed."""
+    """A seeded generator and a count of its draws."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise EngineError(f"seed must be non-negative, got {self.seed}")
+        self.seed = _check_seed(seed)
         self._rng = np.random.default_rng(self.seed)
         self.draws = 0
 
@@ -314,13 +324,14 @@ class MarkovStrategyV(_MarkovTable):
 
 
 _U64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _mix_prefix(*values: int) -> int:
     """The mix of values shared by every path, as a wrapped uint64 Python int."""
     acc = 0
     for value in values:
-        acc = (acc + (value & _U64) + 0x9E3779B97F4A7C15) & _U64
+        acc = (acc + (value & _U64) + _GOLDEN) & _U64
         acc = ((acc ^ (acc >> 30)) * 0xBF58476D1CE4E5B9) & _U64
         acc = ((acc ^ (acc >> 27)) * 0x94D049BB133111EB) & _U64
         acc = acc ^ (acc >> 31)
@@ -332,14 +343,18 @@ def _mix_hash(prefix: int, *arrays: np.ndarray) -> np.ndarray:
 
     Continues from ``prefix``, the mix of any leading values equal on every
     path, so ``_mix_hash(_mix_prefix(a, b), x)`` hashes (a, b, x).  Works in
-    place on one accumulator and one temporary; uint64 arrays wrap silently.
+    place on one accumulator and one temporary; uint64 arrays wrap silently,
+    so addition is associative and the accumulator starts as the first
+    array plus prefix + golden, precombined.
     """
-    acc = np.full(arrays[0].shape, prefix, dtype=np.uint64)
+    # int64 to uint64 keeps the two's-complement bits, as astype does
+    words = [arr.astype(np.int64, copy=False).view(np.uint64) for arr in arrays]
+    acc = words[0] + np.uint64((prefix + _GOLDEN) & _U64)
     tmp = np.empty_like(acc)
-    for arr in arrays:
-        # int64 to uint64 keeps the two's-complement bits, as astype does
-        acc += arr.astype(np.int64, copy=False).view(np.uint64)
-        acc += np.uint64(0x9E3779B97F4A7C15)
+    for j, word in enumerate(words):
+        if j:
+            acc += word
+            acc += np.uint64(_GOLDEN)
         np.right_shift(acc, np.uint64(30), out=tmp)
         acc ^= tmp
         acc *= np.uint64(0xBF58476D1CE4E5B9)
@@ -399,7 +414,7 @@ def random_markov_strategy(
     seed: int,
 ):
     """Uniformly random per-interval Markov tables; a weak but fair challenger."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     rows = partition.intervals
     plain = rng.integers(0, n_own, size=(rows, grid.nodes))
     counter = rng.integers(0, n_own, size=(rows, grid.nodes, n_opp))
@@ -417,7 +432,7 @@ def perturbed_strategy(base: _MarkovTable, flip_fraction: float, seed: int, n_ow
         raise EngineError("flip fraction must lie in [0, 1]")
     if n_own <= max(base.plain.max(), base.counter.max()):
         raise EngineError("the table plays an action beyond the side's action count")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     plain = base.plain.copy()
     counter = base.counter.copy()
     mask_p = rng.random(plain.shape) < flip_fraction
@@ -645,7 +660,10 @@ def simulate(
     leader's plain action, then freeze both actions and take Euler
     sub-steps.  Each strategy sees the interval index, the current nodes
     and the previous interval's nodes (``None`` at k = 0); an action index
-    outside its side's action set raises :class:`EngineError`.  A time-only
+    outside its side's action set raises :class:`EngineError`.  When both
+    strategies are Markov tables the actions are settled once per node and
+    coin face and read by each path, so a table is range-checked at every
+    node, visited or not, with ``prev`` as ``None``.  A time-only
     priority is tabulated once over the interval starts, and each coin is
     compared with that interval's float.  For a state-independent
     coefficient family the coefficients are frozen with the actions: each
@@ -724,6 +742,15 @@ def _play(
     iu * kv + iv from one action-pair table when the coefficients ignore
     the state, else as the action vectors (U, V) that every sub-step
     evaluates the coefficients at.
+
+    When both strategies of a lane are Markov tables, the interval's
+    actions depend only on the node and the coin, so they are resolved
+    and frozen once on a key axis of 2 * nodes entries (node j on tails is
+    key j, on heads key nodes + j) and each path takes its lane by its key
+    heads * nodes + node; this also range-checks every node's actions, not
+    only the visited ones.  Other strategies may read ``prev`` and are
+    resolved per path.  Each Euler sub-step updates the states in place,
+    as x += b h and then x += sigma dW, bitwise x + b h + sigma dW.
     """
     if spec.dim != 1:
         raise EngineError("the simulator handles state dimension 1")
@@ -764,9 +791,17 @@ def _play(
     else:
         au, av = spec.actions_u.array, spec.actions_v.array
     lanes = range(len(pairs))
+    # a Markov pair's key axis, as the (nodes, prev, heads) its lane resolves
+    # on; None for a lane resolved per path
+    key_axes = [
+        (np.tile(np.arange(su.grid.nodes), 2), None, np.arange(2 * su.grid.nodes) >= su.grid.nodes)
+        if isinstance(su, _MarkovTable) and isinstance(sv, _MarkovTable) else None
+        for su, sv in pairs
+    ]
     xs = [np.full(paths, spec.start_state[0], dtype=float) for _ in lanes]
     prevs = [None for _ in lanes]
     trails = [_Trail(n, substeps, record, d_prime, x) for x in xs] if record else None
+    sdw = np.empty(paths)
 
     for k in range(n):
         t_prev = float(partition.times[k])
@@ -784,12 +819,14 @@ def _play(
             nodes = strat_u.grid.nearest_index(xs[i])
             if p_steps is None:
                 heads = coins < spec.priority_values(t_prev, xs[i][:, None])
-            u_plain = strat_u.plain_actions(k, nodes, prev)
-            v_plain = strat_v.plain_actions(k, nodes, prev)
-            v_resp = strat_v.counter_actions(k, nodes, prev, u_plain)
-            u_resp = strat_u.counter_actions(k, nodes, prev, v_plain)
-            iu = _select(heads, u_plain, u_resp)
-            iv = _select(heads, v_resp, v_plain)
+            keyed = key_axes[i] is not None
+            at, at_prev, at_heads = key_axes[i] if keyed else (nodes, prev, heads)
+            u_plain = strat_u.plain_actions(k, at, at_prev)
+            v_plain = strat_v.plain_actions(k, at, at_prev)
+            v_resp = strat_v.counter_actions(k, at, at_prev, u_plain)
+            u_resp = strat_u.counter_actions(k, at, at_prev, v_plain)
+            iu = _select(at_heads, u_plain, u_resp)
+            iv = _select(at_heads, v_resp, v_plain)
             # a flat pair index would alias an out-of-range action into another pair
             if iu.min() < 0 or iu.max() >= ku:
                 raise EngineError(f"u played an action index outside [0, {ku})")
@@ -797,14 +834,21 @@ def _play(
                 raise EngineError(f"v played an action index outside [0, {kv})")
             if state_free:
                 pair = iu * kv + iv
-                frozen.append((b_pairs.take(pair) * dt_sub, sig_pairs.take(pair, axis=0)))
+                lane = (b_pairs.take(pair) * dt_sub, sig_pairs.take(pair, axis=0))
             else:
-                frozen.append((au[iu], av[iv]))
-            prevs[i] = nodes
+                lane = (au[iu], av[iv])
+            if keyed:
+                # each path reads the key of its coin face and node
+                key = heads * strat_u.grid.nodes
+                key += nodes
+                lane = tuple(a.take(key, axis=0) for a in lane)
+            frozen.append(lane)
+            prevs[i] = None if keyed else nodes
             if record:
                 trail = trails[i]
-                trail.u[k] = iu[:record]
-                trail.v[k] = iv[:record]
+                rows = key[:record] if keyed else slice(record)
+                trail.u[k] = iu[rows]
+                trail.v[k] = iv[rows]
                 if coins is not None:
                     trail.coins[k] = coins[:record]
                 trail.second[k] = heads[:record]
@@ -822,11 +866,12 @@ def _play(
                 if d_prime == 1:
                     # np.sum adds from the identity 0.0, which turns a -0.0
                     # product into +0.0; the column plus 0.0 keeps those bits
-                    sdw = sig[:, 0] * dW[:, 0]
+                    np.multiply(sig[:, 0], dW[:, 0], out=sdw)
                     sdw += 0.0
                 else:
-                    sdw = np.sum(sig * dW, axis=1)
-                xs[i] = x = x + bh + sdw
+                    np.sum(sig * dW, axis=1, out=sdw)
+                x += bh
+                x += sdw
                 if record:
                     trails[i].sub[k * substeps + ss + 1] = x[:record]
                     trails[i].noise[k, ss] = dW[:record]
@@ -950,6 +995,7 @@ def exploitability(
         raise EngineError("deterministic mode needs the mark sequence")
     if challengers < 1:
         raise EngineError("need at least one challenger")
+    _check_seed(seed)  # before the roster scales it
     roster = _roster(spec, partition, "v" if fixed_side == "u" else "u", challengers, seed, tables)
     per_pass = max(1, _PASS_STATES // max(paths, 1))
     results = []

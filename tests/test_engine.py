@@ -1044,3 +1044,113 @@ def test_counter_actions_reject_an_opponent_index_past_the_row():
     for opp in (2, -1):
         with pytest.raises(EngineError):
             strat.counter_actions(0, np.array([0]), None, np.array([opp]))
+
+
+def test_markov_out_of_range_action_at_an_unvisited_node_raises():
+    # a Markov pair is resolved for every node, visited or not: a bad action
+    # at the left edge raises although no path comes near it
+    prob = _lattice_problem("bilinear")
+    grid = SpatialGrid(-6.0, 6.0, 61)
+    part = make_uniform_partition(0.0, 0.5, 4)
+    tables = dp_value_random(prob, part, build_lattice(prob, grid, part))
+    paths = 64
+    fine = simulate(prob, part, RandomMode(CoinSource(1)), tables.strategy_u,
+                    tables.strategy_v, paths, 2, NoiseSource(2), record=paths)
+    states = np.concatenate([rec.states for rec in fine.records])
+    assert grid.nearest_index(states).min() > 0
+    plain = tables.strategy_u.plain.copy()
+    plain[:, 0] = 2
+    bad = MarkovStrategyU(grid, tables.strategy_u.starts, plain, tables.strategy_u.counter)
+    with pytest.raises(EngineError, match="outside"):
+        simulate(prob, part, RandomMode(CoinSource(1)), bad, tables.strategy_v, paths, 2,
+                 NoiseSource(2))
+
+
+def test_negative_seeds_raise_engine_errors_naming_the_seed():
+    prob = bilinear_problem()
+    grid = SpatialGrid(-6.0, 6.0, 41)
+    part = make_uniform_partition(0.0, 0.5, 4)
+    tables = dp_value_random(prob, part, build_lattice(prob, grid, part))
+    message = "^seed must be non-negative, got -1$"
+    with pytest.raises(EngineError, match=message):
+        random_markov_strategy("v", grid, part, 2, 2, -1)
+    with pytest.raises(EngineError, match=message):
+        perturbed_strategy(tables.strategy_v, 0.15, -1, 2)
+    with pytest.raises(EngineError, match=message):
+        exploitability(prob, part, "random", "u", tables.strategy_u, 4, -1, tables=tables,
+                       paths=16, substeps=1)
+
+
+def _replay_path(spec, part, marks, strat_u, strat_v, rec):
+    """One recorded path replayed alone from its coins and noise.
+
+    Returns its u and v actions, who moved second, and its sub-step states.
+    """
+    substeps = rec.noise.shape[1]
+    x = np.full(1, spec.start_state[0])
+    us, vs, second, states = [], [], [], [x]
+    prev = None
+    for k in range(part.intervals):
+        t_prev = float(part.times[k])
+        dt_sub = float(part.steps[k]) / substeps
+        nodes = strat_u.grid.nearest_index(x)
+        if marks is None:
+            heads = rec.coins[k] < spec.priority_values(t_prev, x[:, None])
+        else:
+            heads = np.full(1, marks.array[k] == 1)
+        u_plain = _oracle_actions(strat_u, k, nodes, prev)
+        v_plain = _oracle_actions(strat_v, k, nodes, prev)
+        iu = np.where(heads, u_plain, _oracle_actions(strat_u, k, nodes, prev, v_plain))
+        iv = np.where(heads, _oracle_actions(strat_v, k, nodes, prev, u_plain), v_plain)
+        U, V = spec.actions_u.array[iu], spec.actions_v.array[iv]
+        prev = nodes
+        for ss in range(substeps):
+            t_sub = t_prev + ss * dt_sub
+            dW = rec.noise[k, ss][None, :]
+            b = spec.drift(t_sub, x[:, None], U, V)[:, 0]
+            sig = spec.diffusion(t_sub, x[:, None], U, V)[:, 0, :]
+            x = x + b * dt_sub + np.sum(sig * dW, axis=1)
+            states.append(x)
+        us.append(iu[0])
+        vs.append(iv[0])
+        second.append(heads[0])
+    return np.array(us), np.array(vs), np.array(second), np.concatenate(states)
+
+
+@pytest.mark.parametrize("coef", ["bilinear", "affine"])
+@pytest.mark.parametrize("rule", ["time_only", "logistic", "marks"])
+def test_mixed_markov_and_feedback_lanes_match_a_per_path_replay(rule, coef):
+    prio = ("logistic", (0.3, -1.0, 0.8)) if rule == "logistic" else ("constant", (0.5,))
+    prob = _lattice_problem(coef, (-1.0, 0.0, 1.0), priority=prio)
+    grid = SpatialGrid(-6.0, 6.0, 121)
+    part = Partition(np.array([0.0, 0.05, 0.12, 0.3, 0.5]))
+    lattice = build_lattice(prob, grid, part)
+    marks = None
+    if rule == "marks":
+        marks, subgrid = make_marks(part, prob.priority, 2)
+        tables = dp_value_deterministic(prob, part, marks, subgrid, lattice)
+    else:
+        tables = dp_value_random(prob, part, lattice)
+    su, sv = tables.strategy_u, tables.strategy_v
+    fu = HashFeedbackStrategyU(grid, 3, 7)
+    fv = engine.HashFeedbackStrategyV(grid, 2, 8)
+    ru = random_markov_strategy("u", grid, part, 3, 2, 1)
+    # Markov pairs are resolved per node, pairs with a feedback side per path
+    pairs = [(su, sv), (fu, sv), (su, fv), (ru, sv), (fu, fv)]
+    paths, substeps, record = 200, 3, 8
+    mode = DeterministicMode(marks) if marks else RandomMode(CoinSource(4))
+    plays = engine._play(prob, part, mode, pairs, paths, substeps, NoiseSource(5), record)
+    # the replay reads each record's coins, so check them against the stream
+    coins = np.full((part.intervals, record), np.nan)
+    if not marks:
+        source = CoinSource(4)
+        coins = np.stack([source.uniforms(paths)[:record] for _ in range(part.intervals)])
+    for (strat_u, strat_v), play in zip(pairs, plays):
+        assert len(play.records) == record
+        for j, rec in enumerate(play.records):
+            assert np.array_equal(rec.coins, coins[:, j], equal_nan=True)
+            us, vs, second, states = _replay_path(prob, part, marks, strat_u, strat_v, rec)
+            assert np.array_equal(rec.u_actions, us)
+            assert np.array_equal(rec.v_actions, vs)
+            assert np.array_equal(rec.who_second, second)
+            assert rec.substep_states.tobytes() == states.tobytes()

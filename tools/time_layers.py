@@ -15,8 +15,11 @@ seconds of the call alone; with no layer named, all three run.
 - play: on the random-rule DP at 641 nodes x 100 intervals, simulate of the
   saddle strategies with 100k paths x 4 Euler sub-steps; the same with the
   drift swapped for the state-dependent affine family b = -x, which
-  evaluates its coefficients at every sub-step; and exploitability for each
-  frozen side, 16 challengers x 20k paths x 4 sub-steps.
+  evaluates its coefficients at every sub-step; the same with the priority
+  swapped for the logistic p(x) = 1/(1 + e^-x), which reads p at every
+  path's state (no per-interval table), with the saddle strategies of the
+  benchmark game; and exploitability for each frozen side, 16 challengers
+  x 20k paths x 4 sub-steps.
 """
 import dataclasses
 import os
@@ -33,7 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from isaacslab import cli, config, engine, pde, schedule  # noqa: E402
-from isaacslab.problem import CoefficientSpec  # noqa: E402
+from isaacslab.problem import CoefficientSpec, PrioritySpec  # noqa: E402
 
 
 def median_cpu(call, repeats: int) -> float:
@@ -80,12 +83,13 @@ def time_play(spec, repeats: int) -> None:
         spec,
         coefficients=CoefficientSpec("affine", (0.0, -1.0, np.sqrt(2.0)), dim=1, noise_dim=1),
     )
+    logistic = dataclasses.replace(spec, priority=PrioritySpec("logistic", (0.0, 0.0, 1.0), dim=1))
     calls = {
         f"simulate 100k{label}": lambda game=game: engine.simulate(
             game, part, engine.RandomMode(engine.CoinSource(1)), tables.strategy_u,
             tables.strategy_v, 100_000, 4, engine.NoiseSource(0),
         )
-        for label, game in (("", spec), (" affine", affine))
+        for label, game in (("", spec), (" affine", affine), (" logistic", logistic))
     }
     for side, strategy in (("u", tables.strategy_u), ("v", tables.strategy_v)):
         calls[f"exploitability {side} 16x20k"] = lambda side=side, strategy=strategy: (
