@@ -36,8 +36,12 @@ separate seeded streams, and one coin per interval is always consumed, so
 trajectories under different priorities are driven by identical noise.
 Several strategy pairs can advance in lockstep on one stream of coins and
 noise (common random numbers): the exploitability roster is played that
-way, so challengers differ by their strategies alone and never by their
-draws.
+way, in one pass that draws each coin and noise block once for every
+challenger, so challengers differ by their strategies alone and never by
+their draws.  Challenger tables are stored in the narrowest unsigned dtype
+that holds their action indices (uint8 below 256 actions), so the whole
+roster's tables fit in memory together; the backward sweep's saddle tables
+stay int64.
 """
 
 from __future__ import annotations
@@ -258,13 +262,27 @@ def build_lattice(
 # --- strategies ------------------------------------------------------------------
 
 
+def _integer_table(table) -> np.ndarray:
+    """An action table as an array, keeping an integer dtype and casting others to int."""
+    table = np.asarray(table)
+    return table if table.dtype.kind in "iu" else table.astype(int)
+
+
+def _action_dtype(n_own: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every action index below ``n_own``."""
+    return np.min_scalar_type(max(int(n_own) - 1, 0))
+
+
 class _MarkovTable:
     """Node-indexed action tables, piecewise constant over interval blocks.
 
     ``starts[r]`` is the first interval index where row r applies; rows
     apply until the next start.  ``plain`` is (rows, nodes) of own action
     indices for leading; ``counter`` is (rows, nodes, opponent actions)
-    of own action indices for responding.
+    of own action indices for responding.  The tables keep the integer
+    dtype they are given (a challenger's may be uint8), and the action
+    accessors return ``np.intp`` either way, so callers never do index
+    arithmetic in a narrow dtype.
 
     Every strategy answers ``plain_actions(k, nodes, prev)`` and
     ``counter_actions(k, nodes, prev, opp)``, where ``prev`` holds each
@@ -274,8 +292,8 @@ class _MarkovTable:
 
     def __init__(self, grid: SpatialGrid, starts, plain, counter):
         starts = tuple(int(s) for s in starts)
-        plain = np.asarray(plain, dtype=int)
-        counter = np.ascontiguousarray(counter, dtype=int)
+        plain = _integer_table(plain)
+        counter = np.ascontiguousarray(_integer_table(counter))
         if not starts or starts[0] != 0 or any(
             b <= a for a, b in zip(starts, starts[1:])
         ):
@@ -303,7 +321,7 @@ class _MarkovTable:
         return r
 
     def plain_actions(self, k: int, nodes: np.ndarray, prev) -> np.ndarray:
-        return self.plain[self._row(k)].take(nodes)
+        return self.plain[self._row(k)].take(nodes).astype(np.intp, copy=False)
 
     def counter_actions(
         self, k: int, nodes: np.ndarray, prev, opp: np.ndarray
@@ -312,7 +330,8 @@ class _MarkovTable:
         # the flat index would read an out-of-range opp from a neighbouring node
         if opp.min() < 0 or opp.max() >= n_opp:
             raise EngineError(f"opponent action index outside [0, {n_opp})")
-        return self._counter_rows[self._row(k)].take(nodes * n_opp + opp)
+        flat = self._counter_rows[self._row(k)].take(nodes * n_opp + opp)
+        return flat.astype(np.intp, copy=False)
 
 
 class MarkovStrategyU(_MarkovTable):
@@ -338,6 +357,31 @@ def _mix_prefix(*values: int) -> int:
     return acc
 
 
+def _words(arr: np.ndarray) -> np.ndarray:
+    """An int array's bits as uint64, keeping the two's complement as astype does."""
+    return arr.astype(np.int64, copy=False).view(np.uint64)
+
+
+def _scramble(acc: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64's finalizer on the uint64 accumulator, in place, with a temporary."""
+    np.right_shift(acc, np.uint64(30), out=tmp)
+    acc ^= tmp
+    acc *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(acc, np.uint64(27), out=tmp)
+    acc ^= tmp
+    acc *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(acc, np.uint64(31), out=tmp)
+    acc ^= tmp
+
+
+def _mix_into(acc: np.ndarray, arr: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Continue the mix in ``acc`` (uint64, updated in place) by one more int array."""
+    acc += _words(arr)
+    acc += np.uint64(_GOLDEN)
+    _scramble(acc, tmp)
+    return acc
+
+
 def _mix_hash(prefix: int, *arrays: np.ndarray) -> np.ndarray:
     """Deterministic integer mix (splitmix-style) of equal-length int arrays.
 
@@ -347,22 +391,11 @@ def _mix_hash(prefix: int, *arrays: np.ndarray) -> np.ndarray:
     so addition is associative and the accumulator starts as the first
     array plus prefix + golden, precombined.
     """
-    # int64 to uint64 keeps the two's-complement bits, as astype does
-    words = [arr.astype(np.int64, copy=False).view(np.uint64) for arr in arrays]
-    acc = words[0] + np.uint64((prefix + _GOLDEN) & _U64)
+    acc = _words(arrays[0]) + np.uint64((prefix + _GOLDEN) & _U64)
     tmp = np.empty_like(acc)
-    for j, word in enumerate(words):
-        if j:
-            acc += word
-            acc += np.uint64(_GOLDEN)
-        np.right_shift(acc, np.uint64(30), out=tmp)
-        acc ^= tmp
-        acc *= np.uint64(0xBF58476D1CE4E5B9)
-        np.right_shift(acc, np.uint64(27), out=tmp)
-        acc ^= tmp
-        acc *= np.uint64(0x94D049BB133111EB)
-        np.right_shift(acc, np.uint64(31), out=tmp)
-        acc ^= tmp
+    _scramble(acc, tmp)
+    for arr in arrays[1:]:
+        _mix_into(acc, arr, tmp)
     return acc
 
 
@@ -373,6 +406,15 @@ class _HashFeedback:
     strategy that reacts to the discretized path, not only the current
     node.  The last node is ``prev``, the node of the previous interval,
     taken as 0 at the first interval.
+
+    The mix of (seed, interval, node) takes one value per grid node, so it
+    is hashed once per interval over the nodes and gathered per path; the
+    plain move continues it by the last node, and the counter move
+    continues the plain move's hash by the opponent's action.  That hash is
+    kept from the last ``plain_actions`` call for the next
+    ``counter_actions`` call, which uses it when asked with the same
+    interval and the same ``nodes`` and ``prev`` objects (they must not
+    change in between) and rehashes otherwise.
     """
 
     def __init__(self, grid: SpatialGrid, n_actions: int, seed: int):
@@ -381,20 +423,30 @@ class _HashFeedback:
         self.grid = grid
         self.n_actions = int(n_actions)
         self.seed = int(seed)
+        self._plain_hash = (None, None, None, None)  # (k, nodes, prev, hash per path)
 
-    def _pick(self, k: int, nodes: np.ndarray, prev, opp: np.ndarray | None) -> np.ndarray:
-        last = np.zeros_like(nodes) if prev is None else prev
-        parts = [nodes, last] if opp is None else [nodes, last, opp]
-        acc = _mix_hash(_mix_prefix(self.seed, k), *parts)
-        return (acc % np.uint64(self.n_actions)).astype(int)
+    def _hash(self, k: int, nodes: np.ndarray, prev) -> np.ndarray:
+        """The mix of (seed, k, node, last node) per path."""
+        hk, h_nodes, h_prev, acc = self._plain_hash
+        if hk == k and h_nodes is nodes and h_prev is prev:
+            return acc
+        acc = _mix_hash(_mix_prefix(self.seed, k), np.arange(self.grid.nodes)).take(nodes)
+        _mix_into(acc, np.zeros_like(nodes) if prev is None else prev, np.empty_like(acc))
+        self._plain_hash = (k, nodes, prev, acc)
+        return acc
+
+    def _pick(self, acc: np.ndarray) -> np.ndarray:
+        return (acc % np.uint64(self.n_actions)).astype(np.intp)
 
     def plain_actions(self, k: int, nodes: np.ndarray, prev) -> np.ndarray:
-        return self._pick(k, nodes, prev, None)
+        return self._pick(self._hash(k, nodes, prev))
 
     def counter_actions(
         self, k: int, nodes: np.ndarray, prev, opp: np.ndarray
     ) -> np.ndarray:
-        return self._pick(k, nodes, prev, opp)
+        acc = self._hash(k, nodes, prev)
+        self._plain_hash = (None, None, None, None)  # acc is now this call's to update
+        return self._pick(_mix_into(acc, opp, np.empty_like(acc)))
 
 
 class HashFeedbackStrategyU(_HashFeedback):
@@ -413,11 +465,16 @@ def random_markov_strategy(
     n_opp: int,
     seed: int,
 ):
-    """Uniformly random per-interval Markov tables; a weak but fair challenger."""
+    """Uniformly random per-interval Markov tables; a weak but fair challenger.
+
+    The draws are int64 and stored in the narrowest unsigned dtype that
+    holds ``n_own - 1``, value for value.
+    """
     rng = np.random.default_rng(_check_seed(seed))
     rows = partition.intervals
-    plain = rng.integers(0, n_own, size=(rows, grid.nodes))
-    counter = rng.integers(0, n_own, size=(rows, grid.nodes, n_opp))
+    dtype = _action_dtype(n_own)
+    plain = rng.integers(0, n_own, size=(rows, grid.nodes)).astype(dtype)
+    counter = rng.integers(0, n_own, size=(rows, grid.nodes, n_opp)).astype(dtype)
     cls = MarkovStrategyU if side == "u" else MarkovStrategyV
     return cls(grid, tuple(range(rows)), plain, counter)
 
@@ -426,15 +483,18 @@ def perturbed_strategy(base: _MarkovTable, flip_fraction: float, seed: int, n_ow
     """Re-randomize a fraction of a Markov table's entries: a local challenger.
 
     Replacements are drawn uniformly from the side's ``n_own`` actions, so
-    an action the base table never plays can still be tried.
+    an action the base table never plays can still be tried.  The copy is
+    stored in the narrowest unsigned dtype that holds ``n_own - 1``.
     """
     if not 0.0 <= flip_fraction <= 1.0:
         raise EngineError("flip fraction must lie in [0, 1]")
     if n_own <= max(base.plain.max(), base.counter.max()):
         raise EngineError("the table plays an action beyond the side's action count")
     rng = np.random.default_rng(_check_seed(seed))
-    plain = base.plain.copy()
-    counter = base.counter.copy()
+    # every base action is non-negative and below n_own, so the cast is exact
+    dtype = _action_dtype(n_own)
+    plain = base.plain.astype(dtype)
+    counter = base.counter.astype(dtype)
     mask_p = rng.random(plain.shape) < flip_fraction
     mask_c = rng.random(counter.shape) < flip_fraction
     plain[mask_p] = rng.integers(0, n_own, size=int(mask_p.sum()))
@@ -733,7 +793,11 @@ def _play(
     (paths, noise_dim) block, and every pair moves on those same draws:
     common random numbers, so each pair's result is bitwise what it gets
     when played alone on sources with the same seeds.  The loop is
-    sub-step-major, so one noise block is live at a time.  The rule is a
+    lane-major within an interval: each lane is resolved and runs all its
+    sub-steps before the next lane is resolved, so one lane's frozen
+    coefficients are live at a time however many lanes a pass holds.  The
+    first lane draws the noise blocks, and only when later lanes reuse them
+    are they kept, so a single pair holds one block at a time.  The rule is a
     priority per interval: a mark is 1 or 0 and sets heads on every path
     with no coin drawn, a time-only p is compared with that interval's
     coins, and both settle one heads vector for all pairs; a
@@ -813,12 +877,14 @@ def _play(
             coins = coin_source.uniforms(paths)
             if p_steps is not None:
                 heads = coins < p_steps[k]
-        frozen = []
+        # the first lane draws each sub-step's noise block; later lanes reuse it
+        dWs = []
         for i, (strat_u, strat_v) in enumerate(pairs):
             prev = prevs[i]  # read first, so no older node array outlives this one
-            nodes = strat_u.grid.nearest_index(xs[i])
+            x = xs[i]
+            nodes = strat_u.grid.nearest_index(x)
             if p_steps is None:
-                heads = coins < spec.priority_values(t_prev, xs[i][:, None])
+                heads = coins < spec.priority_values(t_prev, x[:, None])
             keyed = key_axes[i] is not None
             at, at_prev, at_heads = key_axes[i] if keyed else (nodes, prev, heads)
             u_plain = strat_u.plain_actions(k, at, at_prev)
@@ -842,7 +908,6 @@ def _play(
                 key = heads * strat_u.grid.nodes
                 key += nodes
                 lane = tuple(a.take(key, axis=0) for a in lane)
-            frozen.append(lane)
             prevs[i] = None if keyed else nodes
             if record:
                 trail = trails[i]
@@ -852,14 +917,17 @@ def _play(
                 if coins is not None:
                     trail.coins[k] = coins[:record]
                 trail.second[k] = heads[:record]
-        for ss in range(substeps):
-            t_sub = t_prev + ss * dt_sub
-            dW = noise.increments(paths, d_prime, dt_sub)
-            for i, lane in enumerate(frozen):
-                x = xs[i]
+            for ss in range(substeps):
+                if i:
+                    dW = dWs[ss]
+                else:
+                    dW = noise.increments(paths, d_prime, dt_sub)
+                    if len(pairs) > 1:
+                        dWs.append(dW)
                 if state_free:
                     bh, sig = lane
                 else:
+                    t_sub = t_prev + ss * dt_sub
                     U, V = lane
                     bh = spec.drift(t_sub, x[:, None], U, V)[:, 0] * dt_sub
                     sig = spec.diffusion(t_sub, x[:, None], U, V)[:, 0, :]
@@ -873,8 +941,9 @@ def _play(
                 x += bh
                 x += sdw
                 if record:
-                    trails[i].sub[k * substeps + ss + 1] = x[:record]
-                    trails[i].noise[k, ss] = dW[:record]
+                    trail.sub[k * substeps + ss + 1] = x[:record]
+                    trail.noise[k, ss] = dW[:record]
+            del lane, bh, sig  # this lane's frozen coefficients go before the next lane's
 
     results = []
     for i in lanes:
@@ -890,9 +959,10 @@ def _play(
 
 # --- exploitability ------------------------------------------------------------------
 
-# Path-states one lockstep pass of the roster holds: 6 pairs at 20k paths.
-# It bounds a pass's memory; results do not depend on it.
-_PASS_STATES = 2**17
+# Path-states one lockstep pass of the roster holds: 26 pairs at 20k paths, so
+# a roster of up to 26 plays in one pass and each draw is made once.  It bounds
+# a pass's memory for larger rosters; results do not depend on it.
+_PASS_STATES = 2**19
 
 
 @dataclass(frozen=True)
@@ -931,8 +1001,9 @@ def _roster(
 ) -> list[tuple[str, Callable]]:
     """Labelled builders of ``side``'s challengers, the first its saddle strategy.
 
-    A challenger is built only when its pass is played, so a pass holds
-    the tables of its own challengers and not the whole roster's.
+    A challenger is built when its pass is played.  A roster that fits one
+    pass holds every challenger's tables at once, which compact tables keep
+    small; a larger roster holds only its current pass's.
     """
     grid = tables.grid
     n_own = spec.actions_v.size if side == "v" else spec.actions_u.size
@@ -982,9 +1053,11 @@ def exploitability(
     and hash feedback strategies, all seeded from ``seed``.  Every
     challenger plays the same number of paths on common random numbers:
     the coins of ``CoinSource(seed * 7000)`` and the noise of
-    ``NoiseSource(seed * 9000)``.  The roster is played in lockstep passes
-    of a few pairs that share each draw, and every pass replays those
-    seeds, so each challenger's mean and standard error are bitwise what a
+    ``NoiseSource(seed * 9000)``.  The roster is played in one lockstep
+    pass whose pairs share each draw, so each interval's coins and each
+    sub-step's noise are drawn once for the whole roster; a roster too
+    large for one pass is split into passes that each replay those seeds.
+    Either way each challenger's mean and standard error are bitwise what a
     solo :func:`simulate` on the same seeds gives.
     """
     if fixed_side not in ("u", "v"):

@@ -732,6 +732,27 @@ def test_hash_feedback_prefix_matches_full_array_mix(seed_value):
                 assert got_counter.tobytes() == want_counter.astype(int).tobytes()
 
 
+def test_hash_feedback_counter_move_rehashes_unless_asked_on_the_plain_arrays():
+    grid = SpatialGrid(-6.0, 6.0, 121)
+    nodes = np.arange(121)
+    prev = nodes[::-1].copy()
+    opp = nodes % 2
+    strat = HashFeedbackStrategyU(grid, 3, 17)
+    want = _oracle_mix_hash(np.full(121, 17), np.full(121, 4), nodes, prev, opp) % np.uint64(3)
+    want = want.astype(np.intp).tobytes()
+    # no plain move first, a plain move on other arrays, on equal copies, and the same ones
+    assert strat.counter_actions(4, nodes, prev, opp).tobytes() == want
+    strat.plain_actions(4, nodes, nodes.copy())
+    assert strat.counter_actions(4, nodes, prev, opp).tobytes() == want
+    strat.plain_actions(5, nodes, prev)
+    assert strat.counter_actions(4, nodes, prev, opp).tobytes() == want
+    strat.plain_actions(4, nodes.copy(), prev.copy())
+    assert strat.counter_actions(4, nodes, prev, opp).tobytes() == want
+    strat.plain_actions(4, nodes, prev)
+    assert strat.counter_actions(4, nodes, prev, opp).tobytes() == want
+    assert strat.counter_actions(4, nodes, prev, opp).tobytes() == want
+
+
 def test_mix_hash_in_place_matches_oracle():
     rng = np.random.default_rng(seed)
     info = np.iinfo(np.int64)
@@ -758,6 +779,60 @@ def test_perturbed_strategy_tries_an_action_the_base_never_plays():
     assert np.array_equal(np.unique(flipped.plain), [0, 1, 2])
     with pytest.raises(EngineError):
         perturbed_strategy(base, 0.5, 8, 1)
+
+
+def _oracle_perturbed(base, flip_fraction, seed, n_own):
+    """The perturbed tables drawn and stored as int64."""
+    rng = np.random.default_rng(seed)
+    plain = base.plain.astype(np.int64)
+    counter = base.counter.astype(np.int64)
+    mask_p = rng.random(plain.shape) < flip_fraction
+    mask_c = rng.random(counter.shape) < flip_fraction
+    plain[mask_p] = rng.integers(0, n_own, size=int(mask_p.sum()))
+    counter[mask_c] = rng.integers(0, n_own, size=int(mask_c.sum()))
+    return plain, counter
+
+
+def test_challenger_tables_are_compact_and_value_for_value():
+    grid = SpatialGrid(-6.0, 6.0, 31)
+    part = make_uniform_partition(0.0, 0.5, 6)
+    rng = np.random.default_rng(11)
+    wide_plain = rng.integers(0, 3, size=(part.intervals, grid.nodes))
+    wide_counter = rng.integers(0, 3, size=(part.intervals, grid.nodes, 2))
+    rand = random_markov_strategy("u", grid, part, 3, 2, 11)
+    assert rand.plain.dtype == rand.counter.dtype == np.uint8
+    assert np.array_equal(rand.plain, wide_plain) and np.array_equal(rand.counter, wide_counter)
+    assert 8 * rand.plain.nbytes <= wide_plain.nbytes
+    assert 8 * rand.counter.nbytes <= wide_counter.nbytes
+    # a perturbed copy of an int64 saddle table is as compact
+    prob = bilinear_problem()
+    tables = dp_value_random(prob, part, build_lattice(prob, grid, part))
+    saddle = tables.strategy_v
+    assert saddle.plain.dtype == saddle.counter.dtype == np.int64
+    near = perturbed_strategy(saddle, 0.15, 5, 2)
+    assert near.plain.dtype == near.counter.dtype == np.uint8
+    assert 8 * near.counter.nbytes <= saddle.counter.nbytes
+    # 300 actions need uint16; the base plays {0, 1} and no draw may wrap
+    base = random_markov_strategy("v", grid, part, 2, 2, 4)
+    many = perturbed_strategy(base, 0.9, 8, 300)
+    want_plain, want_counter = _oracle_perturbed(base, 0.9, 8, 300)
+    assert many.plain.dtype == many.counter.dtype == np.uint16
+    assert np.array_equal(many.plain, want_plain) and np.array_equal(many.counter, want_counter)
+    assert many.counter.max() > 255 and max(many.plain.max(), many.counter.max()) <= 299
+    # the accessors hand out np.intp, so callers never do index arithmetic in uint8
+    nodes = np.arange(grid.nodes)
+    for strat in (rand, near, many, saddle):
+        plain = strat.plain_actions(0, nodes, None)
+        assert plain.dtype == np.intp
+        assert np.array_equal(plain, strat.plain[0])
+        opp = nodes % strat.counter.shape[2]
+        reply = strat.counter_actions(2, nodes, None, opp)
+        assert reply.dtype == np.intp
+        assert np.array_equal(reply, strat.counter[2, nodes, opp])
+    # a table keeps the integer dtype it is given
+    kept = MarkovStrategyU(grid, (0,), np.zeros((1, grid.nodes), np.uint8),
+                           np.zeros((1, grid.nodes, 2), np.uint16))
+    assert kept.plain.dtype == np.uint8 and kept.counter.dtype == np.uint16
 
 
 def test_exploitability_perturbs_over_the_sides_action_count(monkeypatch):
@@ -867,6 +942,37 @@ def test_lockstep_pass_draws_each_shared_block_once():
     assert len(plays) == 3
     assert coins.draws == part.intervals * paths
     assert noise.draws == part.intervals * substeps * paths * prob.noise_dim
+
+
+def test_exploitability_draws_each_coin_and_noise_block_once(monkeypatch):
+    # 16 challengers at 20k paths play in one pass: every coin and noise block
+    # is drawn once for the whole roster, not once per pass
+    prob = bilinear_problem()
+    grid = SpatialGrid(-6.0, 6.0, 61)
+    part = make_uniform_partition(0.0, 0.5, 2)
+    tables = dp_value_random(prob, part, build_lattice(prob, grid, part))
+    made = []
+
+    class SpyCoins(CoinSource):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    class SpyNoise(NoiseSource):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "CoinSource", SpyCoins)
+    monkeypatch.setattr(engine, "NoiseSource", SpyNoise)
+    paths, substeps = 20_000, 1
+    report = exploitability(prob, part, "random", "u", tables.strategy_u, 16, 3,
+                            tables=tables, paths=paths, substeps=substeps)
+    assert len(report.results) == 16
+    coins = sum(s.draws for s in made if isinstance(s, SpyCoins))
+    noise = sum(s.draws for s in made if isinstance(s, SpyNoise))
+    assert coins == part.intervals * paths
+    assert noise == part.intervals * substeps * paths * prob.noise_dim
 
 
 # --- forward play against the per-sub-step oracle -------------------------------------

@@ -19,10 +19,14 @@ seconds of the call alone; with no layer named, all three run.
   swapped for the logistic p(x) = 1/(1 + e^-x), which reads p at every
   path's state (no per-interval table), with the saddle strategies of the
   benchmark game; and exploitability for each frozen side, 16 challengers
-  x 20k paths x 4 sub-steps.
+  x 20k paths x 4 sub-steps.  Each exploitability row also gives the peak
+  resident set (VmHWM, Linux) of a fresh subprocess that sets up the same
+  inputs and makes the call once, with its peak after set-up alone, and
+  the Gaussian noise draws the call makes.
 """
 import dataclasses
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -46,6 +50,10 @@ def median_cpu(call, repeats: int) -> float:
         call()
         runs.append(time.process_time() - c0)
     return float(np.median(runs))
+
+
+def benchmark_spec():
+    return cli.problem_from_config(config.load_config(ROOT / "configs" / "benchmark.cfg"))
 
 
 def time_pde(spec, repeats: int) -> None:
@@ -75,10 +83,57 @@ def time_dp(spec, repeats: int) -> None:
         print(f"{nodes:5d}  {intervals:9d}  {rand:8.3f}  {det:13.3f}")
 
 
-def time_play(spec, repeats: int) -> None:
+def play_inputs(spec):
+    """The partition and random-rule DP tables that play runs on."""
     grid = pde.SpatialGrid(-8.0, 8.0, 641)
     part = schedule.make_uniform_partition(0.0, spec.horizon, 100)
-    tables = engine.dp_value_random(spec, part, engine.build_lattice(spec, grid, part))
+    return part, engine.dp_value_random(spec, part, engine.build_lattice(spec, grid, part))
+
+
+def exploit(spec, part, tables, side: str):
+    strategy = tables.strategy_u if side == "u" else tables.strategy_v
+    return engine.exploitability(spec, part, "random", side, strategy, 16, 1,
+                                 tables=tables, paths=20_000, substeps=4)
+
+
+def peak_mb() -> float:
+    """This process's peak resident set in MB (kB / 1024, as tools/cli_peak.py prints), from VmHWM.
+
+    A child's ru_maxrss also counts the resident set of the parent it was
+    forked from, which here would hide the call's own peak, so the high
+    water mark of the process's own address space is read instead.
+    """
+    status = Path("/proc/self/status").read_text()
+    return int(status.split("VmHWM:")[1].split()[0]) / 1024  # kB
+
+
+def exploit_peak(side: str) -> None:
+    """Print the set-up peak MB, the peak MB after one exploitability call and its noise draws."""
+    spec = benchmark_spec()
+    part, tables = play_inputs(spec)
+    setup = peak_mb()
+    sources = []
+
+    class CountedNoise(engine.NoiseSource):
+        def __init__(self, seed):
+            super().__init__(seed)
+            sources.append(self)
+
+    engine.NoiseSource = CountedNoise
+    exploit(spec, part, tables, side)
+    print(setup, peak_mb(), sum(s.draws for s in sources))
+
+
+def fresh_exploit_peak(side: str) -> tuple[float, float, int]:
+    """:func:`exploit_peak` in a new interpreter, so no earlier call's peak counts."""
+    code = f"import time_layers; time_layers.exploit_peak({side!r})"
+    out = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parent,
+                         capture_output=True, text=True, check=True).stdout.split()
+    return float(out[0]), float(out[1]), int(out[2])
+
+
+def time_play(spec, repeats: int) -> None:
+    part, tables = play_inputs(spec)
     affine = dataclasses.replace(
         spec,
         coefficients=CoefficientSpec("affine", (0.0, -1.0, np.sqrt(2.0)), dim=1, noise_dim=1),
@@ -91,14 +146,15 @@ def time_play(spec, repeats: int) -> None:
         )
         for label, game in (("", spec), (" affine", affine), (" logistic", logistic))
     }
-    for side, strategy in (("u", tables.strategy_u), ("v", tables.strategy_v)):
-        calls[f"exploitability {side} 16x20k"] = lambda side=side, strategy=strategy: (
-            engine.exploitability(spec, part, "random", side, strategy, 16, 1,
-                                  tables=tables, paths=20_000, substeps=4)
-        )
     print("641 nodes x 100 intervals, median CPU s over", repeats, "runs")
     for name, call in calls.items():
         print(f"{name:26s} {median_cpu(call, repeats):8.3f}")
+    print(f"{'':26s} {'CPU s':>8s} {'setup MB':>9s} {'peak MB':>8s} {'noise draws':>12s}")
+    for side in ("u", "v"):
+        cpu = median_cpu(lambda side=side: exploit(spec, part, tables, side), repeats)
+        setup, peak, draws = fresh_exploit_peak(side)
+        print(f"{f'exploitability {side} 16x20k':26s} {cpu:8.3f} {setup:9.2f} {peak:8.2f} "
+              f"{draws:12d}")
 
 
 LAYERS = {"pde": time_pde, "dp": time_dp, "play": time_play}
@@ -109,7 +165,7 @@ def main(args: list[str]) -> None:
     unknown = [name for name in args if name not in LAYERS]
     if unknown:
         sys.exit(f"unknown layer {unknown[0]!r}; choose from {', '.join(LAYERS)}")
-    spec = cli.problem_from_config(config.load_config(ROOT / "configs" / "benchmark.cfg"))
+    spec = benchmark_spec()
     for name in args or LAYERS:
         LAYERS[name](spec, repeats)
 
