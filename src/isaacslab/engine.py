@@ -862,7 +862,8 @@ def _play(
         if isinstance(su, _MarkovTable) and isinstance(sv, _MarkovTable) else None
         for su, sv in pairs
     ]
-    xs = [np.full(paths, spec.start_state[0], dtype=float) for _ in lanes]
+    # every lane's states are rows of one block, allocated and freed as one
+    xs = list(np.full((len(pairs), paths), spec.start_state[0], dtype=float))
     prevs = [None for _ in lanes]
     trails = [_Trail(n, substeps, record, d_prime, x) for x in xs] if record else None
     sdw = np.empty(paths)
