@@ -9,28 +9,38 @@ with L(t,x,u,v; q, M) = b q + 0.5 (sigma sigma^T) M evaluated per action
 pair; every mode is a priority per step (lower p = 1, upper p = 0, mixed
 p(t, x)).  First derivatives are upwinded against the sign of b inside the
 action-pair enumeration, second derivatives are central, and the boundary
-uses zero-slope ghost copies.  Under the step bound from
-:func:`cfl_max_dt` every update is a convex combination of neighboring
-values, so the scheme is monotone and bounded by the terminal data; that
-is the property that makes the discrete values converge to the viscosity
-solution as the grid refines.
+uses zero-slope ghost copies.  Written on the differences to the two
+neighbours, one step of a pair is
+
+    dt L = w+ (W(j+1) - W(j)) + w- (W(j-1) - W(j)),
+    w+ = dt (b+/dx + sigma sigma^T / 2dx^2),  w- = dt (b-/dx + sigma sigma^T / 2dx^2)
+
+with b+ = max(b, 0) and b- = max(-b, 0).  Under the step bound from
+:func:`cfl_max_dt` these stencil weights are non-negative and sum to at
+most 1, so every update is a convex combination of neighboring values:
+the scheme is monotone and bounded by the terminal data, which is the
+property that makes the discrete values converge to the viscosity
+solution as the grid refines (Barles and Souganidis, 1991).
 
 The coefficients enter through a table of b and sigma sigma^T for every
 action pair and node (:func:`coefficient_table`, shape (ku, kv, n)), the
 one-dimensional view of :meth:`isaacslab.problem.ProblemSpec.coefficient_table`,
 which evaluates drift and diffusion over all pairs in one call.  The lattice
 engine reads the same view.  The coefficients ignore t (the contract of
-the coefficient families in :mod:`isaacslab.problem`), so the table is
-built once before the march and :func:`cfl_max_dt` scans one table; each
-step is then a few whole-array operations on preallocated buffers, with
-the lower and upper Hamiltonians taken by
-:func:`isaacslab.static_game.local_values` on the (ku, kv, n) generator
-and blended by :func:`isaacslab.static_game.mix`, which returns the lower
-or upper array itself at p = 1 or 0.  The one-sided modes and a time-only
-priority are tabulated over the step times once per solve, as the paper's
-rules for a state-independent p can be set in advance, so the blend takes
-one float per step; a state-dependent priority is evaluated on the nodes
-at every step.
+the coefficient families in :mod:`isaacslab.problem`), so the table, and
+from it the weights w of shape (2, ku, kv, n), are built once before the
+march, and :func:`cfl_max_dt` scans one table.  Each step fills the two
+differences D of shape (2, n) and takes the (ku, kv, n) generator in one
+call: a (ku kv, 2) @ (2, n) matrix product when the weights are equal
+along the nodes, as for families that ignore the state, or an einsum over
+the two differences otherwise.  The lower and upper Hamiltonians are then
+taken by :func:`isaacslab.static_game.local_values` and blended by
+:func:`isaacslab.static_game.mix`, which returns the lower or upper array
+itself at p = 1 or 0.  The one-sided modes and a time-only priority are
+tabulated over the step times once per solve, as the paper's rules for a
+state-independent p can be set in advance, so the blend takes one float
+per step; a state-dependent priority is evaluated on the nodes at every
+step.
 
 State dimension is one; higher-dimensional problems are accepted by the
 algebraic modules but not by this solver.
@@ -225,11 +235,17 @@ def solve(
     The update is v(t - dt, x) = v(t, x) + dt * H(t, x, Dv(t), D2v(t)):
     coefficients, priority and differences all read the known slice.
     The coefficients ignore t, so the coefficient table
-    (:func:`coefficient_table`) is built once before the march.  Each step
-    blends lower and upper by its priority: 1.0 (lower) or 0.0 (upper) at
-    every step, or in mixed mode a time-only p tabulated once over the step
-    times (:meth:`PrioritySpec.time_values`, which raises before the march
-    if p leaves [0, 1]) or a state-dependent p evaluated on the nodes.
+    (:func:`coefficient_table`) and the dt-scaled stencil weights on
+    W(j+1) - W(j) and W(j-1) - W(j) are built once before the march; each
+    step's generator dt L[u, v, j] is one matrix product when the weights
+    are equal along the nodes and one einsum when not (a NaN weight never
+    is equal, so it reaches the blow-up check).  The product may round
+    w+ D+ + w- D- once where the einsum rounds each term, so the two paths
+    agree to a few ulps of |W| per step.  Each step blends lower and upper
+    by its priority: 1.0 (lower) or 0.0 (upper) at every step, or in mixed
+    mode a time-only p tabulated once over the step times
+    (:meth:`PrioritySpec.time_values`, which raises before the march if p
+    leaves [0, 1]) or a state-dependent p evaluated on the nodes.
     """
     if hamiltonian not in ("lower", "upper", "mixed"):
         raise PdeError(f"unknown hamiltonian mode {hamiltonian!r}")
@@ -254,7 +270,6 @@ def solve(
     X = xs[:, None]
     n = grid.nodes
     dx = grid.dx
-    dx2 = dx**2
     # the known slice W lives inside We, between zero-slope ghost copies
     We = np.empty(n + 2)
     W = We[1:-1]
@@ -264,15 +279,19 @@ def solve(
     out = np.empty((m + 1, n))
     out[m] = W
     ku, kv = spec.actions_u.size, spec.actions_v.size
-    slope = np.empty(n + 1)  # slope[j] = (We[j+1] - We[j]) / dx
-    forward, backward = slope[1:], slope[:-1]
-    second = np.empty(n)
-    gen = np.empty((ku, kv, n))
-    term = np.empty((ku, kv, n))
     b, s2 = coefficient_table(spec, float(times[m]), xs)
-    b_plus = np.where(b >= 0.0, b, 0.0)
-    b_minus = np.where(b >= 0.0, 0.0, b)
-    half_s2 = 0.5 * s2
+    # w[0] and w[1] weigh W(j+1) - W(j) and W(j-1) - W(j): the upwind drift
+    # and half the central second difference, scaled by the step
+    diffusion = s2 / (2.0 * dx**2)
+    w = dt_eff * np.stack([np.maximum(b, 0.0) / dx + diffusion,
+                           np.maximum(-b, 0.0) / dx + diffusion])
+    D = np.empty((2, n))
+    gen = np.empty((ku, kv, n))
+    # weights equal along the nodes (NaN never is) make the generator one
+    # (ku kv, 2) @ (2, n) product; otherwise it is w[0] D[0] + w[1] D[1]
+    uniform = bool(np.all(w == w[..., :1]))
+    pair_weights = w[..., 0].reshape(2, ku * kv).T
+    pair_gen = gen.reshape(ku * kv, n)
     # p at each known slice, in march order: p_steps[m - k] is p(times[k]);
     # None when p depends on the state and is read at the nodes every step
     if hamiltonian != "mixed":
@@ -284,20 +303,14 @@ def solve(
     for k in range(m, 0, -1):
         We[0] = W[0]
         We[-1] = W[-1]
-        np.subtract(We[1:], We[:-1], out=slope)
-        slope /= dx
-        # (We[2:] - 2 We[1:-1] + We[:-2]) / dx^2 in this evaluation order, not
-        # as a difference of slopes, which would round differently
-        np.multiply(We[1:-1], 2.0, out=second)
-        np.subtract(We[2:], second, out=second)
-        second += We[:-2]
-        second /= dx2
-        # upwind generator per action pair: b+ D+W + b- D-W + (sigma^2 / 2) D2W
-        np.multiply(b_plus, forward, out=gen)
-        gen += np.multiply(b_minus, backward, out=term)
-        gen += np.multiply(half_s2, second, out=term)
+        np.subtract(We[2:], W, out=D[0])
+        np.subtract(We[:-2], W, out=D[1])
+        if uniform:
+            np.matmul(pair_weights, D, out=pair_gen)
+        else:
+            np.einsum("iuvj,ij->uvj", w, D, out=gen)
         p = spec.priority_values(float(times[k]), X) if p_steps is None else p_steps[m - k]
-        W += dt_eff * mix(p, *local_values(gen))
+        W += mix(p, *local_values(gen))
         # NaN fails both comparisons and an infinity fails a bound
         lo, hi = W.min(), W.max()
         if not (lo >= lo_bound and hi <= hi_bound):

@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,8 +276,15 @@ def _pde_problem(coef, prio, u_values=(-1.0, 1.0), v_values=(-1.0, 1.0)):
     )
 
 
-def _oracle_march(spec, grid, dt, hamiltonian):
-    """The explicit march written pair by pair and step by step, coefficients re-read each step."""
+def _oracle_march(spec, grid, dt, hamiltonian, form="stencil", s2_shift=None):
+    """The explicit march written pair by pair and step by step, coefficients re-read each step.
+
+    ``form="stencil"`` builds each pair's generator from its dt-scaled upwind
+    weights on W(j+1) - W(j) and W(j-1) - W(j), as :func:`pde.solve` does;
+    ``form="quotient"`` from the upwind slope and the central second
+    difference, scaled by dt after the blend.  ``s2_shift = (a, c, j,
+    delta)`` adds delta to sigma sigma^T of pair (a, c) at node j.
+    """
     span = spec.horizon - spec.start_time
     m = max(1, int(np.ceil(span / dt - 1e-12)))
     dt_eff = span / m
@@ -288,6 +299,7 @@ def _oracle_march(spec, grid, dt, hamiltonian):
     for k in range(m, 0, -1):
         t = float(times[k])
         We = np.pad(W, 1, mode="edge")
+        d_up, d_down = We[2:] - W, We[:-2] - W
         forward = (We[2:] - We[1:-1]) / dx
         backward = (We[1:-1] - We[:-2]) / dx
         second = (We[2:] - 2.0 * We[1:-1] + We[:-2]) / dx**2
@@ -299,7 +311,16 @@ def _oracle_march(spec, grid, dt, hamiltonian):
                 b = spec.drift(t, X, U, V)[:, 0]
                 sig = spec.diffusion(t, X, U, V)[:, 0, :]
                 s2 = np.sum(sig * sig, axis=1)
-                gen[:, a, c] = np.where(b >= 0.0, b * forward, b * backward) + 0.5 * s2 * second
+                if s2_shift is not None and s2_shift[:2] == (a, c):
+                    s2[s2_shift[2]] += s2_shift[3]
+                if form == "stencil":
+                    diffusion = s2 / (2.0 * dx**2)
+                    w_up = dt_eff * (np.maximum(b, 0.0) / dx + diffusion)
+                    w_down = dt_eff * (np.maximum(-b, 0.0) / dx + diffusion)
+                    gen[:, a, c] = w_up * d_up + w_down * d_down
+                else:
+                    gen[:, a, c] = (np.where(b >= 0.0, b * forward, b * backward)
+                                    + 0.5 * s2 * second)
         low = gen.min(axis=2).max(axis=1)
         up = gen.max(axis=1).min(axis=1)
         if hamiltonian == "lower":
@@ -309,18 +330,42 @@ def _oracle_march(spec, grid, dt, hamiltonian):
         else:
             p = spec.priority_values(t, X)
             H = np.where(p == 1.0, low, np.where(p == 0.0, up, p * low + (1.0 - p) * up))
-        W = W + dt_eff * H
+        W = W + (H if form == "stencil" else dt_eff * H)
         out[k - 1] = W
     return times, out
 
 
+def _rounding_bound(times, c):
+    """c * eps * max|g| per step, over the steps of the march; max|g| = 1 for the cosine payoff.
+
+    The march is monotone and its local games are 1-Lipschitz in the sup
+    norm, so a difference made at one step is carried, not amplified, by
+    the later steps: the differences of m steps add up to at most m times
+    the largest one.
+    """
+    return (times.size - 1) * c * np.finfo(float).eps
+
+
 def _assert_matches_oracle(spec, ham):
+    """Bitwise where the weights vary along the nodes, within 8 eps per step where not.
+
+    Node-varying weights take one einsum, bitwise w+ D+ + w- D- as the
+    oracle writes it.  Weights equal along the nodes take one matrix
+    product, which may fuse a product into the sum (one rounding in place
+    of two): each generator entry moves by at most 2 eps (|w+ D+| +
+    |w- D-|) <= 4 eps max|W|, as the weights sum to at most 1 and
+    |D| <= 2 max|W|; the blend and the update add at most 4 eps max|W|
+    more.
+    """
     grid = SpatialGrid(-8.0, 8.0, 101)
     dt = pde.cfl_max_dt(spec, grid)
     field = pde.solve(spec, grid, dt, hamiltonian=ham)
     times, values = _oracle_march(spec, grid, dt, ham)
     assert np.array_equal(field.times, times)
-    assert np.array_equal(field.values, values)
+    if spec.coefficients.state_independent:
+        assert np.max(np.abs(field.values - values)) <= _rounding_bound(times, 8.0)
+    else:
+        assert np.array_equal(field.values, values)
 
 
 @pytest.mark.parametrize("ham", ["lower", "upper", "mixed"])
@@ -335,6 +380,87 @@ def test_solve_matches_oracle_with_unequal_action_sets(ham):
     # 3 x 2 actions: the two reductions run over axes of different length
     spec = _pde_problem("bilinear", "logistic", u_values=(-1.0, 0.0, 1.0))
     _assert_matches_oracle(spec, ham)
+
+
+@pytest.mark.parametrize("ham", ["lower", "upper", "mixed"])
+@pytest.mark.parametrize("coef", sorted(COEFFICIENT_CASES))
+def test_solve_agrees_with_difference_quotient_march(coef, ham):
+    # dt (b+/dx + s2/2dx^2) (W(j+1) - W(j)) + ... against b+ (W(j+1) - W(j))/dx
+    # + s2/2 (W(j+1) - 2W(j) + W(j-1))/dx^2 scaled by dt after the blend: per
+    # step both round the same increment, bounded by 2 max|W|, through at
+    # most 8 operations each, and the second difference cancels W(j) apart
+    spec = _pde_problem(coef, "logistic")
+    grid = SpatialGrid(-8.0, 8.0, 101)
+    dt = pde.cfl_max_dt(spec, grid)
+    field = pde.solve(spec, grid, dt, hamiltonian=ham)
+    times, values = _oracle_march(spec, grid, dt, ham, form="quotient")
+    assert np.max(np.abs(field.values - values)) <= _rounding_bound(times, 16.0)
+
+
+def test_node_varying_weights_take_the_einsum_path_bitwise(monkeypatch):
+    # bilinear weights are equal along the nodes: one matrix product per step.
+    # A finite bump of sigma sigma^T at one node makes them vary, and the
+    # march must then take the einsum and match the stencil oracle bitwise
+    spec = _pde_problem("bilinear", "logistic", u_values=(-1.0, 0.0, 1.0))
+    grid = SpatialGrid(-8.0, 8.0, 101)
+    einsum = np.einsum
+    calls = []
+
+    def counted_einsum(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted_einsum)
+    pde.solve(spec, grid, pde.cfl_max_dt(spec, grid), hamiltonian="mixed")
+    assert calls == []
+    table = pde.coefficient_table
+
+    def bumped_table(spec, t, xs):
+        b, s2 = table(spec, t, xs)
+        s2[2, 1, 40] += 0.5
+        return b, s2
+
+    monkeypatch.setattr(pde, "coefficient_table", bumped_table)
+    dt = pde.cfl_max_dt(spec, grid)
+    for ham in ("lower", "upper", "mixed"):
+        calls.clear()
+        field = pde.solve(spec, grid, dt, hamiltonian=ham)
+        times, values = _oracle_march(spec, grid, dt, ham, s2_shift=(2, 1, 40, 0.5))
+        assert len(calls) == times.size - 1
+        assert np.array_equal(field.values, values)
+
+
+_THREADED_MARCH = """
+import dataclasses, hashlib
+import numpy as np
+from isaacslab import pde
+from test_pde import _pde_problem
+
+actions = tuple(np.linspace(-1.0, 1.0, 9))
+spec = _pde_problem("bilinear", "logistic", u_values=actions, v_values=actions)
+grid = pde.SpatialGrid(-8.0, 8.0, 10007)
+dt = pde.cfl_max_dt(spec, grid)
+spec = dataclasses.replace(spec, start_time=spec.horizon - 30 * dt)
+field = pde.solve(spec, grid, dt, hamiltonian="mixed")
+print(field.times.size, hashlib.sha256(field.values.tobytes()).hexdigest())
+"""
+
+
+def test_matrix_product_march_is_the_same_on_one_and_two_blas_threads():
+    # the product path must give the same field whatever BLAS threading the
+    # process has, as the CLI's output files are compared byte for byte.  At
+    # 81 pairs x 10007 nodes OpenBLAS splits each product over two threads
+    # when it may (about twice as much CPU time as wall time)
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _THREADED_MARCH], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(run.stdout)
+    assert len(digests) == 1 and digests.pop().startswith("31 ")
 
 
 def test_coefficient_table_layout():

@@ -6,7 +6,8 @@ Every layer runs on configs/benchmark.cfg (p = 0.5) on [-8, 8], R times
 per call (default 5), with BLAS on one thread, and prints the median CPU
 seconds of the call alone; with no layer named, all three run.
 - pde: pde.solve for the lower, upper and mixed Hamiltonians at 641, 1281
-  and 2561 nodes at the CFL step.
+  and 2561 nodes at the CFL step, with the step count and each median
+  divided by it in microseconds per step.
 - dp: dp_value_random, which extracts strategy rows at every interval, and
   dp_value_deterministic on blocks of 40 intervals (10 at 100 intervals),
   which extracts them once per block, at 641 nodes x 1600 intervals and at
@@ -58,15 +59,19 @@ def benchmark_spec():
 
 def time_pde(spec, repeats: int) -> None:
     modes = ("lower", "upper", "mixed")
-    print("nodes  " + "  ".join(f"{mode:>8}" for mode in modes) + "   (median CPU s)")
+    print("nodes  steps  " + "  ".join(f"{mode:>17}" for mode in modes)
+          + "   (median CPU s, us per step)")
     for nodes in (641, 1281, 2561):
         grid = pde.SpatialGrid(-8.0, 8.0, nodes)
         dt = pde.cfl_max_dt(spec, grid)
-        medians = [
-            median_cpu(lambda mode=mode: pde.solve(spec, grid, dt, hamiltonian=mode), repeats)
-            for mode in modes
-        ]
-        print(f"{nodes:5d}  " + "  ".join(f"{s:8.3f}" for s in medians))
+        steps = []
+
+        def march(mode):
+            steps.append(pde.solve(spec, grid, dt, hamiltonian=mode).times.size - 1)
+
+        medians = [median_cpu(lambda mode=mode: march(mode), repeats) for mode in modes]
+        per_step = [f"{s:8.3f} ({1e6 * s / steps[0]:6.1f})" for s in medians]
+        print(f"{nodes:5d}  {steps[0]:5d}  " + "  ".join(per_step))
 
 
 def time_dp(spec, repeats: int) -> None:
