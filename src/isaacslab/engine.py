@@ -13,14 +13,15 @@ the backward operator monotone; queries beyond the grid clamp to the edge
 value, the probabilistic counterpart of the solver's zero-slope boundary.
 
 Each interval is a batch of one-period matrix games on the continuation
-values, one per node, valued by :mod:`isaacslab.static_game`'s kernels.
-Who moves second is decided per interval by a priority p, the probability
-that v sees u: a 0/1 mark (deterministic rule) is a p of 1 or 0, and the
-coin rule reads p(t_k), or p(t_k, x) at each state.  Backward induction
-values each node at the p-blend of the lower and upper values, which is
-the lower value itself at p = 1 and the upper value itself at p = 0, and
-the maximizing/minimizing choices yield Markov strategy tables: a plain
-action for leading and a counter map for responding.
+values, one per node, valued by the backward sweep that the PDE march runs
+too (:mod:`isaacslab.pde`), which also keeps every slice inside the terminal
+bounds.  Who moves second is decided per interval by a priority p, the
+probability that v sees u: a 0/1 mark (deterministic rule) is a p of 1 or 0,
+and the coin rule reads p(t_k), or p(t_k, x) at each state.  Backward
+induction values each node at the p-blend of the lower and upper values,
+which is the lower value itself at p = 1 and the upper value itself at
+p = 0, and the maximizing/minimizing choices yield Markov strategy tables:
+a plain action for leading and a counter map for responding.
 
 Monte Carlo play re-runs the same rounds forward with Euler sub-steps and
 frozen actions per interval, snapping states to the nearest node for
@@ -53,10 +54,9 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .pde import SpatialGrid, ValueField, coefficient_table
+from .pde import SpatialGrid, ValueField, _backward_sweep, coefficient_table
 from .problem import ProblemError, ProblemSpec
 from .schedule import MarkSequence, Partition, ScheduleError, SubGrid
-from .static_game import local_saddle, local_values, mix
 
 __all__ = [
     "EngineError",
@@ -547,49 +547,19 @@ def _dp_sweep(
     p_steps,
     strategy_starts: tuple[int, ...],
 ) -> GameValueTables:
-    """Shared backward loop.
-
-    Interval k values each node at mix(p, lower, upper) of its local game,
-    with p = p_steps[k], one priority per interval (a 0/1 mark or a
-    tabulated p(t_k)), or p(t_k, x) at the nodes when ``p_steps`` is None.
-    Strategy rows are extracted at each index in ``strategy_starts`` from
-    that interval's local games by :func:`local_saddle`; a tied best
-    action resolves to the lowest index.  Every other interval needs only
-    :func:`local_values`.
-    """
-    grid = lattice.grid
+    """The shared backward sweep on the lattice's expectation, p read at t_k, as tables."""
     partition = lattice.partition
-    X = grid.xs[:, None]
-    n = partition.intervals
-    ku, kv = spec.actions_u.size, spec.actions_v.size
-    values = np.empty((n + 1, grid.nodes))
-    values[n] = spec.payoff_values(X)
-    rows = len(strategy_starts)
-    u_plain = np.zeros((rows, grid.nodes), dtype=int)
-    u_counter = np.zeros((rows, grid.nodes, kv), dtype=int)
-    v_plain = np.zeros((rows, grid.nodes), dtype=int)
-    v_counter = np.zeros((rows, grid.nodes, ku), dtype=int)
-    start_lookup = {k: r for r, k in enumerate(strategy_starts)}
-    worst = 0.0
-    for k in range(n - 1, -1, -1):
-        f = lattice.expect(k, values[k + 1])
-        r = start_lookup.get(k)
-        if r is None:
-            lower, upper = local_values(f)
-        else:
-            lower, upper, u_plain[r], uc, v_plain[r], vc = local_saddle(f)
-            u_counter[r] = uc.T
-            v_counter[r] = vc.T
-        worst = max(worst, float(np.max(lower - upper)))
-        p = spec.priority_values(float(partition.times[k]), X) if p_steps is None else p_steps[k]
-        values[k] = mix(p, lower, upper)
+    value, (u_plain, u_counter, v_plain, v_counter), worst = _backward_sweep(
+        spec, lattice.grid, partition.times, lattice.expect, p_steps,
+        partition.times[:-1], strategy_starts,
+    )
     return GameValueTables(
         mode=mode,
-        grid=grid,
+        grid=lattice.grid,
         partition=partition,
-        v_minus=ValueField(grid=grid, times=partition.times, values=values),
-        strategy_u=MarkovStrategyU(grid, strategy_starts, u_plain, u_counter),
-        strategy_v=MarkovStrategyV(grid, strategy_starts, v_plain, v_counter),
+        v_minus=value,
+        strategy_u=MarkovStrategyU(lattice.grid, strategy_starts, u_plain, u_counter),
+        strategy_v=MarkovStrategyV(lattice.grid, strategy_starts, v_plain, v_counter),
         max_order_violation=worst,
     )
 
@@ -603,15 +573,11 @@ def dp_value_random(
     value plus (1 - p) times the upper value of the local game on the
     continuation; degenerate p reproduces the one-sided branch bitwise.
     A time-only p is tabulated once over the interval starts.  Strategies
-    are extracted at every interval.
+    are extracted at every interval.  A slice outside the terminal bounds
+    raises :class:`isaacslab.pde.BlowupError`.
     """
     _check_lattice(partition, lattice)
-    p_steps = None
-    if spec.priority.time_only:
-        # tabulated in sweep order, so a range error names the t the sweep meets first
-        p_steps = spec.priority.time_values(partition.times[-2::-1]).tolist()[::-1]
-    starts = tuple(range(partition.intervals))
-    return _dp_sweep("random", spec, lattice, p_steps, starts)
+    return _dp_sweep("random", spec, lattice, None, tuple(range(partition.intervals)))
 
 
 def dp_value_deterministic(

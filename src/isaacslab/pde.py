@@ -28,19 +28,19 @@ one-dimensional view of :meth:`isaacslab.problem.ProblemSpec.coefficient_table`,
 which evaluates drift and diffusion over all pairs in one call.  The lattice
 engine reads the same view.  The coefficients ignore t (the contract of
 the coefficient families in :mod:`isaacslab.problem`), so the table, and
-from it the weights w of shape (2, ku, kv, n), are built once before the
-march, and :func:`cfl_max_dt` scans one table.  Each step fills the two
-differences D of shape (2, n) and takes the (ku, kv, n) generator in one
-call: a (ku kv, 2) @ (2, n) matrix product when the weights are equal
-along the nodes, as for families that ignore the state, or an einsum over
-the two differences otherwise.  The lower and upper Hamiltonians are then
-taken by :func:`isaacslab.static_game.local_values` and blended by
-:func:`isaacslab.static_game.mix`, which returns the lower or upper array
-itself at p = 1 or 0.  The one-sided modes and a time-only priority are
-tabulated over the step times once per solve, as the paper's rules for a
-state-independent p can be set in advance, so the blend takes one float
-per step; a state-dependent priority is evaluated on the nodes at every
-step.
+from it the weights (w+, w-, 1) on the rows (D+, D-, W), are built once
+before the march, and :func:`cfl_max_dt` scans one table.  A step is then
+a controlled Markov chain's one-step expectation W + w+ D+ + w- D-
+(Kushner and Dupuis, 2001, ch. 5): one (ku kv, 3) @ (3, n) matrix product
+when the weights are equal along the nodes, as for families that ignore
+the state, or an einsum over the three rows otherwise.  The march is thus
+the lattice DP of :mod:`isaacslab.engine` with other weights: both run
+:func:`_backward_sweep`, which values the local games with
+:mod:`isaacslab.static_game`, blends them by ``mix`` and checks each slice
+against the terminal bounds.  The one-sided modes and a time-only priority
+are tabulated over the step times once per sweep, as the paper's rules for
+a state-independent p can be set in advance, so the blend takes one float
+per step; a state-dependent priority is evaluated on the nodes at every step.
 
 State dimension is one; higher-dimensional problems are accepted by the
 algebraic modules but not by this solver.
@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .problem import ProblemError, ProblemSpec
-from .static_game import local_values, mix
+from .static_game import local_saddle, local_values, mix
 
 __all__ = [
     "PdeError",
@@ -80,7 +80,7 @@ class CflError(PdeError):
 
 
 class BlowupError(RuntimeError):
-    """Marching produced values outside the payoff bounds or non-finite."""
+    """A backward sweep produced values outside the payoff bounds or non-finite."""
 
 
 @dataclass(frozen=True)
@@ -219,6 +219,64 @@ def cfl_max_dt(spec: ProblemSpec, grid: SpatialGrid) -> float:
     return CFL_SAFETY / denom
 
 
+def _backward_sweep(spec, grid, times, expect, p_steps, p_at, strategy_starts):
+    """The one backward sweep of the march and the DP, over the intervals of ``times``.
+
+    Interval k values each node at mix(p, lower, upper) of the local games
+    ``expect(k, V)``, shape (ku, kv, nodes), on the known slice V.  Its p is
+    ``p_steps[k]`` (a 0/1 mark or a one-sided mode) or, when that is None,
+    p at ``p_at[k]``: tabulated once in sweep order for a time-only p, so a
+    range error names the t the sweep meets first, else read at the nodes.
+    Strategy rows come from :func:`local_saddle` at each interval in
+    ``strategy_starts`` (ties to the lowest index), and every other interval
+    needs only :func:`local_values`.  Both solvers' weights are convex, so a
+    slice outside the terminal bounds raises :class:`BlowupError`.  Returns
+    the field, the rows (u_plain, u_counter, v_plain, v_counter) and the
+    largest lower - upper seen.
+    """
+    X = grid.xs[:, None]
+    n = times.size - 1
+    ku, kv = spec.actions_u.size, spec.actions_v.size
+    values = np.empty((n + 1, grid.nodes))
+    values[n] = spec.payoff_values(X)
+    # 1e-9 of max|g| (absolute below 1) absorbs the ulps that convex weights round
+    slack = 1e-9 * max(1.0, float(np.abs(values[n]).max()))
+    lo_bound = float(values[n].min()) - slack
+    hi_bound = float(values[n].max()) + slack
+    if p_steps is None and spec.priority.time_only:
+        p_steps = spec.priority.time_values(p_at[::-1]).tolist()[::-1]
+    rows = len(strategy_starts)
+    u_plain = np.zeros((rows, grid.nodes), dtype=int)
+    u_counter = np.zeros((rows, grid.nodes, kv), dtype=int)
+    v_plain = np.zeros((rows, grid.nodes), dtype=int)
+    v_counter = np.zeros((rows, grid.nodes, ku), dtype=int)
+    start_lookup = {k: r for r, k in enumerate(strategy_starts)}
+    worst = 0.0
+    for k in range(n - 1, -1, -1):
+        f = expect(k, values[k + 1])
+        r = start_lookup.get(k)
+        if r is None:
+            lower, upper = local_values(f)
+        else:
+            lower, upper, u_plain[r], uc, v_plain[r], vc = local_saddle(f)
+            u_counter[r] = uc.T
+            v_counter[r] = vc.T
+        # max(0.0, nan) is 0.0 and NaN is never greater, so the guard keeps the value
+        if np.greater(lower, upper).any():
+            worst = max(worst, float(np.max(lower - upper)))
+        p = spec.priority_values(float(p_at[k]), X) if p_steps is None else p_steps[k]
+        values[k] = mix(p, lower, upper)
+        # NaN fails both comparisons and an infinity fails a bound
+        lo, hi = values[k].min(), values[k].max()
+        if not (lo >= lo_bound and hi <= hi_bound):
+            raise BlowupError(
+                f"slice at t={float(times[k])} left the terminal bounds; a monotone "
+                "sweep stays inside them, so its step is unstable or its input not finite"
+            )
+    field = ValueField(grid=grid, times=times, values=values)
+    return field, (u_plain, u_counter, v_plain, v_counter), worst
+
+
 def solve(
     spec: ProblemSpec,
     grid: SpatialGrid,
@@ -235,15 +293,17 @@ def solve(
     The update is v(t - dt, x) = v(t, x) + dt * H(t, x, Dv(t), D2v(t)):
     coefficients, priority and differences all read the known slice.
     The coefficients ignore t, so the coefficient table
-    (:func:`coefficient_table`) and the dt-scaled stencil weights on
-    W(j+1) - W(j) and W(j-1) - W(j) are built once before the march; each
-    step's generator dt L[u, v, j] is one matrix product when the weights
-    are equal along the nodes and one einsum when not (a NaN weight never
-    is equal, so it reaches the blow-up check).  The product may round
-    w+ D+ + w- D- once where the einsum rounds each term, so the two paths
-    agree to a few ulps of |W| per step.  Each step blends lower and upper
-    by its priority: 1.0 (lower) or 0.0 (upper) at every step, or in mixed
-    mode a time-only p tabulated once over the step times
+    (:func:`coefficient_table`) and the weights w+, w- and 1 on
+    D+ = W(j+1) - W(j), D- = W(j-1) - W(j) and W are built once before the
+    march.  Each step's local games W + dt L[u, v, j] are one matrix product
+    when the weights are equal along the nodes and one einsum when not (a
+    NaN weight never is equal, so it reaches the blow-up check).  The einsum
+    adds w+ D+ + w- D- to W: its lower and upper games are W plus those of
+    dt L bitwise, and its mixed blend is within a few ulps of W plus theirs;
+    the product may round its sum once, to a few ulps of |W| per step.
+    Each step blends lower and upper by its priority: 1.0 (lower) or 0.0
+    (upper) at every step, or in mixed mode a time-only p tabulated once
+    over the step times
     (:meth:`PrioritySpec.time_values`, which raises before the march if p
     leaves [0, 1]) or a state-dependent p evaluated on the nodes.
     """
@@ -266,60 +326,34 @@ def solve(
     m = max(1, int(np.ceil(span / dt - 1e-12)))
     dt_eff = span / m
     times = spec.start_time + np.arange(m + 1) * dt_eff
-    xs = grid.xs
-    X = xs[:, None]
-    n = grid.nodes
     dx = grid.dx
-    # the known slice W lives inside We, between zero-slope ghost copies
-    We = np.empty(n + 2)
-    W = We[1:-1]
-    W[:] = spec.payoff_values(X)
-    lo_bound = float(W.min()) - 1e-9
-    hi_bound = float(W.max()) + 1e-9
-    out = np.empty((m + 1, n))
-    out[m] = W
-    ku, kv = spec.actions_u.size, spec.actions_v.size
-    b, s2 = coefficient_table(spec, float(times[m]), xs)
-    # w[0] and w[1] weigh W(j+1) - W(j) and W(j-1) - W(j): the upwind drift
-    # and half the central second difference, scaled by the step
+    b, s2 = coefficient_table(spec, float(times[m]), grid.xs)
+    # w[0], w[1] and w[2] weigh D+, D- and W: the upwind drift and half the
+    # central second difference, scaled by the step, and the known value
     diffusion = s2 / (2.0 * dx**2)
-    w = dt_eff * np.stack([np.maximum(b, 0.0) / dx + diffusion,
-                           np.maximum(-b, 0.0) / dx + diffusion])
-    D = np.empty((2, n))
-    gen = np.empty((ku, kv, n))
-    # weights equal along the nodes (NaN never is) make the generator one
-    # (ku kv, 2) @ (2, n) product; otherwise it is w[0] D[0] + w[1] D[1]
+    w = np.stack([dt_eff * (np.maximum(b, 0.0) / dx + diffusion),
+                  dt_eff * (np.maximum(-b, 0.0) / dx + diffusion), np.ones_like(b)])
+    # zero-slope ghosts: D+ at the last node and D- at the first stay 0
+    rows = np.zeros((3, grid.nodes))
+    f = np.empty(b.shape)
+    # weights equal along the nodes (NaN never is) make f one
+    # (ku kv, 3) @ (3, n) product; otherwise it is w[0] D+ + w[1] D- + W
     uniform = bool(np.all(w == w[..., :1]))
-    pair_weights = w[..., 0].reshape(2, ku * kv).T
-    pair_gen = gen.reshape(ku * kv, n)
-    # p at each known slice, in march order: p_steps[m - k] is p(times[k]);
-    # None when p depends on the state and is read at the nodes every step
-    if hamiltonian != "mixed":
-        p_steps = [1.0 if hamiltonian == "lower" else 0.0] * m
-    elif spec.priority.time_only:
-        p_steps = spec.priority.time_values(times[:0:-1])
-    else:
-        p_steps = None
-    for k in range(m, 0, -1):
-        We[0] = W[0]
-        We[-1] = W[-1]
-        np.subtract(We[2:], W, out=D[0])
-        np.subtract(We[:-2], W, out=D[1])
+    pair_weights = w[..., 0].reshape(3, -1).T
+    pair_f = f.reshape(-1, grid.nodes)
+
+    def expect(k, V):
+        np.subtract(V[1:], V[:-1], out=rows[0, :-1])
+        np.subtract(V[:-1], V[1:], out=rows[1, 1:])
+        rows[2] = V
         if uniform:
-            np.matmul(pair_weights, D, out=pair_gen)
+            np.matmul(pair_weights, rows, out=pair_f)
         else:
-            np.einsum("iuvj,ij->uvj", w, D, out=gen)
-        p = spec.priority_values(float(times[k]), X) if p_steps is None else p_steps[m - k]
-        W += mix(p, *local_values(gen))
-        # NaN fails both comparisons and an infinity fails a bound
-        lo, hi = W.min(), W.max()
-        if not (lo >= lo_bound and hi <= hi_bound):
-            raise BlowupError(
-                f"slice at t={float(times[k - 1])} left the terminal bounds; "
-                "the explicit march is unstable at this step size"
-            )
-        out[k - 1] = W
-    return ValueField(grid=grid, times=times, values=out)
+            np.einsum("iuvj,ij->uvj", w, rows, out=f)
+        return f
+
+    p_steps = None if hamiltonian == "mixed" else [1.0 if hamiltonian == "lower" else 0.0] * m
+    return _backward_sweep(spec, grid, times, expect, p_steps, times[1:], ())[0]
 
 
 def isaacs_gap(spec: ProblemSpec, grid: SpatialGrid, dt: float) -> ValueField:

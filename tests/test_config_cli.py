@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isaacslab import cli, pde
+from isaacslab import cli, engine, pde
 from isaacslab.config import (
     ConfigError,
     format_value,
@@ -268,6 +268,20 @@ def test_cli_blowup_exit(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, BILINEAR_CFG)
     assert cli.main(["pde", "--config", cfg, "--out", str(tmp_path)]) == 5
 
+
+
+def test_cli_dp_exits_5_when_the_sweep_leaves_the_terminal_bounds(tmp_path, monkeypatch, capsys):
+    expect = engine.TransitionModel.expect
+
+    def nan_expect(self, k, values):
+        f = expect(self, k, values)
+        f[..., 80] = np.nan
+        return f
+
+    monkeypatch.setattr(engine.TransitionModel, "expect", nan_expect)
+    cfg = write_cfg(tmp_path, BILINEAR_CFG + "discretization.partition.n = 10\n")
+    assert cli.main(["dp", "--config", cfg, "--out", str(tmp_path)]) == 5
+    assert "left the terminal bounds" in capsys.readouterr().err
 
 def test_cli_config_error_exits(tmp_path):
     missing = str(tmp_path / "nope.cfg")

@@ -680,6 +680,73 @@ def test_dp_sweeps_match_reduction_oracle_bitwise(case):
         assert tables.max_order_violation == 0.0
 
 
+
+@pytest.mark.parametrize("bad", ["nan", "above"])
+def test_dp_raises_blowup_on_a_continuation_outside_the_terminal_bounds(monkeypatch, bad):
+    # the lattice's one-step weights are convex, so the DP stays inside the
+    # terminal data; a continuation at one node that is NaN, or 1.0 above the
+    # terminal max, must stop the sweep at the shared bounds check
+    spec = _sweep_problems()["bilinear_2x2"]
+    grid = SpatialGrid(-6.0, 6.0, 81)
+    part = make_uniform_partition(0.0, 0.5, 12)
+    lattice = build_lattice(spec, grid, part)
+    top = float(spec.payoff_values(grid.xs[:, None]).max())
+    expect = engine.TransitionModel.expect
+
+    def bad_expect(self, k, values):
+        f = expect(self, k, values)
+        if k == 6:
+            f[..., 40] = np.nan if bad == "nan" else top + 1.0
+        return f
+
+    monkeypatch.setattr(engine.TransitionModel, "expect", bad_expect)
+    with pytest.raises(pde.BlowupError, match="left the terminal bounds"):
+        dp_value_random(spec, part, lattice)
+
+
+@pytest.mark.parametrize("quad_points", [3, 5, 7])
+def test_dp_of_a_large_constant_payoff_passes_the_bounds_check(quad_points):
+    # the quadrature weights sum to 1 only up to rounding, so the expectation
+    # of a constant c may land an ulp (1.2e-7 at c = 1e9) off c at every
+    # interval: past an absolute 1e-9 slack, far inside 1e-9 of max|g|
+    c = 1e9 + 0.7
+    spec = bilinear_problem(payoff=("constant", (c,)))
+    grid = SpatialGrid(-6.0, 6.0, 81)
+    part = make_uniform_partition(0.0, 0.5, 12)
+    tables = dp_value_random(spec, part, build_lattice(spec, grid, part, quad_points))
+    assert np.max(np.abs(tables.value.values - c)) <= 1e-9 * c
+
+@pytest.mark.parametrize("gap, recorded", [(0.25, 0.25), (np.nan, 0.0)])
+def test_max_order_violation_records_a_planted_violation(monkeypatch, gap, recorded):
+    # lower <= upper holds bitwise in real local games, so the field reads 0.0
+    # there.  A lower value planted gap above the upper one at one node of one
+    # interval must be recorded exactly, and a NaN, never greater, not at all.
+    # The interval's mark is 0, so its values take the upper side and stay finite
+    spec = _sweep_problems()["bilinear_2x2"]
+    grid = SpatialGrid(-6.0, 6.0, 81)
+    part = make_uniform_partition(0.0, 0.5, 12)
+    lattice = build_lattice(spec, grid, part)
+    marks, subgrid = make_marks(part, spec.priority, 3)
+    starts = subgrid.indices[:-1]
+    # local_values serves the intervals that extract no strategy row, in sweep order
+    plain = [k for k in range(part.intervals - 1, -1, -1) if k not in starts]
+    target = next(i for i, k in enumerate(plain) if marks.array[k] == 0)
+    local_values = pde.local_values
+    calls = []
+
+    def planted(f):
+        lower, upper = local_values(f)
+        if len(calls) == target:
+            upper[40] = 0.5
+            lower[40] = 0.5 + gap
+        calls.append(f)
+        return lower, upper
+
+    monkeypatch.setattr(pde, "local_values", planted)
+    tables = dp_value_deterministic(spec, part, marks, subgrid, lattice)
+    assert len(calls) == len(plain)
+    assert tables.max_order_violation == recorded
+
 def test_simulation_tracks_dp_value():
     prob = bilinear_problem()
     grid = SpatialGrid(-6.0, 6.0, 241)

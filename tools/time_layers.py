@@ -11,8 +11,10 @@ seconds of the call alone; with no layer named, all three run.
 - dp: dp_value_random, which extracts strategy rows at every interval, and
   dp_value_deterministic on blocks of 40 intervals (10 at 100 intervals),
   which extracts them once per block, at 641 nodes x 1600 intervals and at
-  2561 nodes x 100 intervals.  Building the lattice and the marks is not
-  timed.
+  2561 nodes x 100 intervals, with each median divided by the interval
+  count in microseconds per interval, the unit of the pde rows' steps, as
+  both run the same backward sweep.  Building the lattice and the marks is
+  not timed.
 - play: on the random-rule DP at 641 nodes x 100 intervals, simulate of the
   saddle strategies with 100k paths x 4 Euler sub-steps; the same with the
   drift swapped for the state-dependent affine family b = -x, which
@@ -75,7 +77,8 @@ def time_pde(spec, repeats: int) -> None:
 
 
 def time_dp(spec, repeats: int) -> None:
-    print("nodes  intervals    random  deterministic   (median CPU s over", repeats, "runs)")
+    print("nodes  intervals            random     deterministic   (median CPU s over", repeats,
+          "runs, us per interval)")
     for nodes, intervals, block in ((641, 1600, 40), (2561, 100, 10)):
         grid = pde.SpatialGrid(-8.0, 8.0, nodes)
         part = schedule.make_uniform_partition(0.0, spec.horizon, intervals)
@@ -85,7 +88,8 @@ def time_dp(spec, repeats: int) -> None:
         det = median_cpu(
             lambda: engine.dp_value_deterministic(spec, part, marks, subgrid, lattice), repeats
         )
-        print(f"{nodes:5d}  {intervals:9d}  {rand:8.3f}  {det:13.3f}")
+        per_interval = [f"{s:8.3f} ({1e6 * s / intervals:6.1f})" for s in (rand, det)]
+        print(f"{nodes:5d}  {intervals:9d}  {per_interval[0]}  {per_interval[1]}")
 
 
 def play_inputs(spec):
