@@ -10,14 +10,7 @@ watches the empirical mean settle on the mixed value.
 
 import numpy as np
 
-from isaacslab import (
-    lower_value,
-    mixed_value,
-    play_one_period,
-    representation_residual,
-    saddle,
-    upper_value,
-)
+from isaacslab import play_one_period, representation_residual, saddle
 
 seed = 0
 n_plays = 200_000
@@ -34,12 +27,12 @@ print("payoff matrix f(u, v), u maximizes rows, v minimizes columns")
 print(f)
 print()
 
-lo, u_star, beta_star = lower_value(f)
-hi, v_star, alpha_star = upper_value(f)
-print(f"lower value (v sees u's row first):  {lo:+.4f}  at row {u_star}")
-print(f"  v's counter map beta(u) = {beta_star.tolist()}")
-print(f"upper value (u sees v's column first): {hi:+.4f}  at column {v_star}")
-print(f"  u's counter map alpha(v) = {alpha_star.tolist()}")
+# the lower and upper games do not depend on p
+sad = saddle(f, 0.5)
+print(f"lower value (v sees u's row first):  {sad.lower:+.4f}  at row {sad.u_star}")
+print(f"  v's counter map beta(u) = {sad.beta_star.tolist()}")
+print(f"upper value (u sees v's column first): {sad.upper:+.4f}  at column {sad.v_star}")
+print(f"  u's counter map alpha(v) = {sad.alpha_star.tolist()}")
 print()
 
 print("priority p blends the two orders: value = p * lower + (1 - p) * upper")
@@ -70,5 +63,5 @@ se = payoffs.std(ddof=1) / np.sqrt(n_plays)
 print(f"played {n_plays} periods at p = {p} with both sides at their saddle choices")
 print(f"  heads fraction    {np.mean(coins < p):.4f}  (target {p})")
 print(f"  empirical mean    {mean:+.6f} +/- {se:.6f}")
-print(f"  mixed value       {mixed_value(f, p):+.6f}")
+print(f"  mixed value       {sad.mixed:+.6f}")
 print(f"  gap in std errors {abs(mean - sad.mixed) / se:.2f}")

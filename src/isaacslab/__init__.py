@@ -23,14 +23,6 @@ from .engine import (
     exploitability,
     simulate,
 )
-from .hamiltonian import (
-    DifferentialState,
-    generator,
-    hamiltonian_lower,
-    hamiltonian_mixed,
-    hamiltonian_upper,
-    local_matrix,
-)
 from .pde import SpatialGrid, ValueField, cfl_max_dt, isaacs_gap, solve
 from .problem import (
     ActionSet,
@@ -38,7 +30,6 @@ from .problem import (
     PayoffSpec,
     PrioritySpec,
     ProblemSpec,
-    eval_coefficients,
     validate_assumptions,
 )
 from .schedule import (
@@ -53,12 +44,9 @@ from .schedule import (
 from .static_game import (
     LocalGameMatrix,
     StaticSaddle,
-    lower_value,
-    mixed_value,
     play_one_period,
     representation_residual,
     saddle,
-    upper_value,
 )
 
 __version__ = "0.1.0"

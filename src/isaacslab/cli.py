@@ -170,6 +170,9 @@ def _cmd_hamiltonian(cfg: Config, out: Path, prefix: str) -> list[str]:
     grid = grid_from_config(cfg)
     grads = cfg.get_floats("hamiltonian.grads", (-1.0, 0.0, 1.0))
     hessians = cfg.get_floats("hamiltonian.hessians", (-1.0, 0.0, 1.0))
+    for key, vals in (("hamiltonian.grads", grads), ("hamiltonian.hessians", hessians)):
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"{key} entries must be finite, got {vals}")
     t = spec.start_time
     xs = grid.xs
     X = xs[:, None]

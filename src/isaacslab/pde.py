@@ -139,18 +139,31 @@ class ValueField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        self._store(self.times, self.values)
+        # min and max propagate NaN and reach any infinity, so this tests every
+        # entry without a boolean temporary the size of the field
+        values = self.values
+        if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            raise PdeError("value field entries must be finite")
+
+    @classmethod
+    def _bounded(cls, grid: SpatialGrid, times, values) -> ValueField:
+        """A field whose slices the caller held within finite bounds: finite, so not scanned."""
+        field = cls.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        field._store(times, values)
+        return field
+
+    def _store(self, times, values) -> None:
+        """Set times and values as float arrays after checking their order and shape."""
+        times = np.asarray(times, dtype=float)
+        values = np.asarray(values, dtype=float)
         if times.ndim != 1 or not np.all(np.diff(times) > 0.0):
             raise PdeError("times must be strictly increasing")
         if values.shape != (times.size, self.grid.nodes):
             raise PdeError(
                 f"values must have shape {(times.size, self.grid.nodes)}, got {values.shape}"
             )
-        # min and max propagate NaN and reach any infinity, so this tests every
-        # entry without a boolean temporary the size of the field
-        if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
-            raise PdeError("value field entries must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -273,7 +286,9 @@ def _backward_sweep(spec, grid, times, expect, p_steps, p_at, strategy_starts):
                 f"slice at t={float(times[k])} left the terminal bounds; a monotone "
                 "sweep stays inside them, so its step is unstable or its input not finite"
             )
-    field = ValueField(grid=grid, times=times, values=values)
+    # finite bounds held on every slice certify the field finite, so it skips the scan
+    bounded = np.isfinite(lo_bound) and np.isfinite(hi_bound)
+    field = (ValueField._bounded if bounded else ValueField)(grid, times, values)
     return field, (u_plain, u_counter, v_plain, v_counter), worst
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "PrioritySpec",
     "ProblemSpec",
     "AssumptionReport",
-    "eval_coefficients",
     "validate_assumptions",
     "coefficient_family_names",
     "payoff_family_names",
@@ -91,14 +90,6 @@ class ActionSet:
     @property
     def array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=float)
-
-    def index_of(self, action) -> int:
-        """Index of an action vector, compared by exact value."""
-        row = tuple(float(c) for c in np.atleast_1d(np.asarray(action, dtype=float)))
-        try:
-            return self.points.index(row)
-        except ValueError:
-            raise ProblemError(f"action {row} is not in the action set") from None
 
 
 # --- coefficient families ---------------------------------------------------
@@ -594,11 +585,6 @@ class ProblemSpec:
     def noise_dim(self) -> int:
         return self.coefficients.noise_dim
 
-    def _check_time(self, t: float) -> float:
-        if not 0.0 <= t <= self.horizon:
-            raise ProblemError(f"time {t} outside [0, T] with T={self.horizon}")
-        return float(t)
-
     # batch evaluation used by the solvers; rows are independent samples
     def drift(self, t, X, U, V) -> np.ndarray:
         return self.coefficients.drift(t, X, U, V)
@@ -633,27 +619,6 @@ class ProblemSpec:
 
     def priority_values(self, t, X) -> np.ndarray:
         return self.priority.value(t, X)
-
-
-def eval_coefficients(
-    spec: ProblemSpec, t: float, x, u, v
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and diffusion at a single point, with domain checks.
-
-    ``u`` and ``v`` are action vectors and must belong to the problem's
-    action sets (compared by exact value); ``t`` must lie in [0, T].
-    Returns (b, sigma) with shapes (d,) and (d, d_prime).
-    """
-    t = spec._check_time(t)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (spec.dim,):
-        raise ProblemError(f"state must have shape ({spec.dim},), got {x.shape}")
-    iu = spec.actions_u.index_of(u)
-    iv = spec.actions_v.index_of(v)
-    X = x[None, :]
-    U = spec.actions_u.array[iu][None, :]
-    V = spec.actions_v.array[iv][None, :]
-    return spec.drift(t, X, U, V)[0], spec.diffusion(t, X, U, V)[0]
 
 
 @dataclass(frozen=True)

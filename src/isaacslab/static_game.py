@@ -32,9 +32,6 @@ __all__ = [
     "mix",
     "local_values",
     "local_saddle",
-    "lower_value",
-    "upper_value",
-    "mixed_value",
     "saddle",
     "representation_residual",
     "play_one_period",
@@ -167,33 +164,6 @@ def local_saddle(f: np.ndarray) -> tuple[np.ndarray, ...]:
             _arg_fold(np.less, col_ceil), _arg_fold(np.less, f.swapaxes(0, 1)))
 
 
-def lower_value(f: LocalGameMatrix | np.ndarray) -> tuple[float, int, np.ndarray]:
-    """Value and saddle data of the game where v sees u's move.
-
-    Returns ``(value, u_star, beta_star)``: the optimal leading row, and
-    v's pointwise-argmin counter map beta_star[u] (one best column per
-    row).  Ties break to the lowest index, so the output is deterministic.
-    """
-    lo, _, u_star, _, _, beta_star = local_saddle(_as_matrix(f).values)
-    return float(lo), int(u_star), beta_star
-
-
-def upper_value(f: LocalGameMatrix | np.ndarray) -> tuple[float, int, np.ndarray]:
-    """Value and saddle data of the game where u sees v's move.
-
-    Returns ``(value, v_star, alpha_star)`` with u's counter map
-    alpha_star[v] (one best row per column).  Ties break low.
-    """
-    _, hi, _, alpha_star, v_star, _ = local_saddle(_as_matrix(f).values)
-    return float(hi), int(v_star), alpha_star
-
-
-def mixed_value(f: LocalGameMatrix | np.ndarray, prio: float) -> float:
-    """Priority-weighted value p * lower + (1 - p) * upper."""
-    lo, hi = local_values(_as_matrix(f).values)
-    return mix(prio, float(lo), float(hi))
-
-
 @dataclass(frozen=True)
 class StaticSaddle:
     """Full saddle summary of a one-period prioritized game."""
@@ -209,6 +179,7 @@ class StaticSaddle:
 
 
 def saddle(f: LocalGameMatrix | np.ndarray, prio: float) -> StaticSaddle:
+    """Values and saddle choices of one game, ties broken low (see :func:`local_saddle`)."""
     lo, hi, u_star, alpha_star, v_star, beta_star = local_saddle(_as_matrix(f).values)
     lo, hi = float(lo), float(hi)
     return StaticSaddle(
@@ -238,8 +209,9 @@ def representation_residual(
     beta are arbitrary counter maps, evaluates
     p * f(u, beta(u)) + (1 - p) * f(alpha(v), v), and reduces to sup-inf
     and inf-sup.  Returns ``(supinf, infsup, residual)`` with residual the
-    larger deviation of the two from ``mixed_value``.  Only defined for
-    action sets of size at most four (the map count grows as n**m).
+    larger deviation of the two from the mixed value ``mix(prio, lower,
+    upper)``.  Only defined for action sets of size at most four (the map
+    count grows as n**m).
     """
     mat = _as_matrix(f)
     prio = float(_check_prio(prio))
@@ -261,7 +233,7 @@ def representation_residual(
     )
     supinf = float(payoff.min(axis=(2, 3)).max())
     infsup = float(payoff.max(axis=(0, 1)).min())
-    mixed = mixed_value(mat, prio)
+    mixed = mix(prio, *local_values(vals))
     residual = max(abs(supinf - mixed), abs(infsup - mixed))
     return supinf, infsup, residual
 

@@ -333,6 +333,15 @@ def test_cli_hamiltonian_rows_ordered(tmp_path):
         assert mid <= up + 1e-12
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["hamiltonian.grads", "hamiltonian.hessians"])
+def test_cli_hamiltonian_rejects_non_finite_derivatives(tmp_path, capsys, key, raw):
+    cfg = write_cfg(tmp_path, BILINEAR_CFG + f"{key} = {raw}, 1\n")
+    assert cli.main(["hamiltonian", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "hamiltonian_hamiltonian.csv").exists()
+
+
 def test_cli_dp_writes_strategies(tmp_path):
     cfg = write_cfg(
         tmp_path,

@@ -3,22 +3,12 @@ import pytest
 
 from helpers import bilinear_problem, singleton_problem
 from isaacslab import problem
-from isaacslab.hamiltonian import (
-    DifferentialState,
-    generator,
-    generator_tensor,
-    hamiltonian_batch,
-    hamiltonian_lower,
-    hamiltonian_mixed,
-    hamiltonian_upper,
-    local_matrix,
-)
+from isaacslab.hamiltonian import generator_tensor, hamiltonian_batch
 from isaacslab.problem import (
     ActionSet,
     CoefficientSpec,
     PayoffSpec,
     PrioritySpec,
-    ProblemError,
     ProblemSpec,
 )
 
@@ -27,59 +17,64 @@ seed = 0
 SPEC = bilinear_problem()
 
 
-def ds(t=0.0, x=0.0, grad=1.0, hess=0.0):
-    return DifferentialState(
-        t=t, x=np.array([x]), grad=np.array([grad]), hess=np.array([[hess]])
-    )
+def one_state(t=0.0, x=0.0, grad=1.0, hess=0.0):
+    """A batch of one state: t with X, grads and hesses of shapes (1, 1), (1, 1), (1, 1, 1)."""
+    return t, np.array([[x]]), np.array([[grad]]), np.array([[[hess]]])
+
+
+def generator_at(spec, **state):
+    """The (ku, kv) generator table at one state."""
+    return generator_tensor(spec, *one_state(**state))[..., 0]
+
+
+def hamiltonians_at(spec, **state):
+    """(lower, upper, mixed) at one state, as floats."""
+    return tuple(float(h[0]) for h in hamiltonian_batch(spec, *one_state(**state)))
 
 
 def test_generator_pure_diffusion():
     # b = 0, sigma = sqrt(2): L = hess
     spec = singleton_problem()
-    assert abs(generator(spec, ds(grad=0.7, hess=2.5), 0.0, 0.0) - 2.5) < 1e-15
+    assert abs(generator_at(spec, grad=0.7, hess=2.5)[0, 0] - 2.5) < 1e-15
 
 
 def test_generator_bilinear_formula():
-    # 4 u v grad + hess at (u, v) = (1, 1)
-    st = ds(grad=0.5, hess=3.0)
-    assert abs(generator(SPEC, st, 1.0, 1.0) - (4 * 0.5 + 3.0)) < 1e-14
+    # 4 u v grad + hess at (u, v) = (1, 1), the second action of each grid
+    gen = generator_at(SPEC, grad=0.5, hess=3.0)
+    assert abs(gen[1, 1] - (4 * 0.5 + 3.0)) < 1e-14
 
 
 def test_generator_zero_derivatives():
-    st = ds(grad=0.0, hess=0.0)
-    for u in (-1.0, 1.0):
-        for v in (-1.0, 1.0):
-            assert generator(SPEC, st, u, v) == 0.0
+    assert np.all(generator_at(SPEC, grad=0.0, hess=0.0) == 0.0)
 
 
 def test_local_matrix_shape_matches_action_grids():
-    mat = local_matrix(SPEC, ds())
-    assert mat.shape == (2, 2)
+    assert generator_tensor(SPEC, *one_state()).shape == (2, 2, 1)
 
 
 def test_hamiltonians_bilinear_example():
-    st = ds(grad=1.0, hess=0.0)
-    assert hamiltonian_lower(SPEC, st) == -4.0
-    assert hamiltonian_upper(SPEC, st) == 4.0
+    lower, upper, _ = hamiltonians_at(SPEC, grad=1.0, hess=0.0)
+    assert lower == -4.0
+    assert upper == 4.0
     quarter = bilinear_problem(prio_params=(0.25,))
-    assert hamiltonian_mixed(quarter, st) == 0.25 * (-4.0) + 0.75 * 4.0
+    assert hamiltonians_at(quarter, grad=1.0, hess=0.0)[2] == 0.25 * (-4.0) + 0.75 * 4.0
 
 
 def test_singleton_actions_close_the_isaacs_gap():
     spec = singleton_problem(drift=0.3)
-    st = ds(grad=2.0, hess=1.0)
-    gen = generator(spec, st, 0.0, 0.0)
-    assert hamiltonian_lower(spec, st) == gen
-    assert hamiltonian_upper(spec, st) == gen
+    gen = generator_at(spec, grad=2.0, hess=1.0)[0, 0]
+    lower, upper, _ = hamiltonians_at(spec, grad=2.0, hess=1.0)
+    assert lower == gen
+    assert upper == gen
 
 
 def test_zero_grad_degenerates_to_trace_term():
     # sigma is action-independent, so both sides collapse to the trace
     # term; s0*s0 costs one ulp, so this is not bitwise
-    st = ds(grad=0.0, hess=1.5)
-    assert abs(hamiltonian_lower(SPEC, st) - 1.5) < 1e-12
-    assert abs(hamiltonian_upper(SPEC, st) - 1.5) < 1e-12
-    assert hamiltonian_lower(SPEC, st) == hamiltonian_upper(SPEC, st)
+    lower, upper, _ = hamiltonians_at(SPEC, grad=0.0, hess=1.5)
+    assert abs(lower - 1.5) < 1e-12
+    assert abs(upper - 1.5) < 1e-12
+    assert lower == upper
 
 
 def test_degenerate_priority_is_bitwise_one_sided():
@@ -87,11 +82,13 @@ def test_degenerate_priority_is_bitwise_one_sided():
     up_spec = bilinear_problem(prio_params=(0.0,))
     rng = np.random.default_rng(seed)
     for _ in range(25):
-        st = ds(
+        state = dict(
             t=rng.uniform(0, 0.5), x=rng.normal(), grad=rng.normal(), hess=rng.normal()
         )
-        assert hamiltonian_mixed(low_spec, st) == hamiltonian_lower(low_spec, st)
-        assert hamiltonian_mixed(up_spec, st) == hamiltonian_upper(up_spec, st)
+        lower, _, mixed = hamiltonians_at(low_spec, **state)
+        assert mixed == lower
+        _, upper, mixed = hamiltonians_at(up_spec, **state)
+        assert mixed == upper
 
 
 def test_sandwich_on_random_states():
@@ -106,30 +103,16 @@ def test_sandwich_on_random_states():
     assert np.all(mixed <= up + 1e-12)
 
 
-def test_batch_matches_pointwise_evaluation():
-    rng = np.random.default_rng(seed)
-    n = 16
-    X = rng.normal(0.0, 2.0, (n, 1))
-    G = rng.normal(size=(n, 1))
-    H = rng.normal(size=(n, 1, 1))
-    low, up, mixed = hamiltonian_batch(SPEC, 0.1, X, G, H)
-    for i in range(n):
-        st = DifferentialState(0.1, X[i], G[i], H[i])
-        assert low[i] == hamiltonian_lower(SPEC, st)
-        assert up[i] == hamiltonian_upper(SPEC, st)
-        assert mixed[i] == hamiltonian_mixed(SPEC, st)
-
-
 def test_monotone_in_hess():
     # degenerate ellipticity: a PSD bump never lowers any Hamiltonian
     rng = np.random.default_rng(seed)
     for _ in range(200):
         g, h = rng.normal(), rng.normal()
         bump = rng.uniform(0.0, 2.0)
-        a, b = ds(grad=g, hess=h), ds(grad=g, hess=h + bump)
-        assert hamiltonian_lower(SPEC, b) >= hamiltonian_lower(SPEC, a) - 1e-12
-        assert hamiltonian_upper(SPEC, b) >= hamiltonian_upper(SPEC, a) - 1e-12
-        assert hamiltonian_mixed(SPEC, b) >= hamiltonian_mixed(SPEC, a) - 1e-12
+        before = hamiltonians_at(SPEC, grad=g, hess=h)
+        after = hamiltonians_at(SPEC, grad=g, hess=h + bump)
+        for a, b in zip(before, after):
+            assert b >= a - 1e-12
 
 
 def test_hess_additivity_for_action_independent_sigma():
@@ -137,21 +120,10 @@ def test_hess_additivity_for_action_independent_sigma():
     rng = np.random.default_rng(seed)
     for _ in range(50):
         g, h1, h2 = rng.normal(size=3)
-        for ham in (hamiltonian_lower, hamiltonian_upper):
-            summed = ham(SPEC, ds(grad=g, hess=h1 + h2))
-            split = ham(SPEC, ds(grad=g, hess=h1)) + h2  # 0.5 * 2.0 * h2
-            assert abs(summed - split) < 1e-12
-
-
-def test_differential_state_validation():
-    with pytest.raises(ProblemError):
-        DifferentialState(0.0, np.zeros(2), np.zeros(1), np.zeros((2, 2)))
-    with pytest.raises(ProblemError):
-        DifferentialState(
-            0.0, np.zeros(2), np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]])
-        )
-    with pytest.raises(ProblemError):
-        DifferentialState(0.0, np.array([np.nan]), np.zeros(1), np.zeros((1, 1)))
+        summed = hamiltonians_at(SPEC, grad=g, hess=h1 + h2)
+        split = hamiltonians_at(SPEC, grad=g, hess=h1)
+        for side in (0, 1):  # lower and upper
+            assert abs(summed[side] - (split[side] + h2)) < 1e-12  # 0.5 * 2.0 * h2
 
 
 # --- the batched generator against a per-action-pair oracle -------------------

@@ -12,7 +12,6 @@ from isaacslab.problem import (
     PrioritySpec,
     ProblemError,
     coefficient_family_names,
-    eval_coefficients,
     priority_family_names,
     validate_assumptions,
 )
@@ -24,10 +23,7 @@ def test_action_set_basics():
     acts = ActionSet.from_values((-1.0, 1.0))
     assert acts.size == 2
     assert acts.dim == 1
-    assert acts.index_of(-1.0) == 0
-    assert acts.index_of(1.0) == 1
-    with pytest.raises(ProblemError):
-        acts.index_of(0.5)
+    assert acts.array.tolist() == [[-1.0], [1.0]]
 
 
 def test_action_set_rejects_bad_input():
@@ -58,27 +54,27 @@ def test_param_count_validation():
 
 def test_bilinear_drift_and_diffusion():
     spec = bilinear_problem()
-    b, sig = eval_coefficients(spec, 0.0, 0.0, 1.0, -1.0)
-    assert b.shape == (1,)
-    assert sig.shape == (1, 1)
-    assert b[0] == -4.0
-    assert sig[0, 0] == SQRT2
+    # U = V = (-1, 1), so entry [1, 0, 0] is (u, v) = (1, -1) at the one state
+    b, sig = spec.coefficient_table(0.0, np.array([[0.0]]))
+    assert b.shape == (2, 2, 1, 1)
+    assert sig.shape == (2, 2, 1, 1, 1)
+    assert b[1, 0, 0, 0] == -4.0
+    assert sig[1, 0, 0, 0, 0] == SQRT2
 
 
 def test_bilinear_sign_flip_in_u():
     spec = bilinear_problem()
-    b1, _ = eval_coefficients(spec, 0.1, 0.3, 1.0, 1.0)
-    b2, _ = eval_coefficients(spec, 0.1, 0.3, -1.0, 1.0)
-    assert b1[0] == -b2[0]
+    b, _ = spec.coefficient_table(0.1, np.array([[0.3]]))
+    assert b[1, 1, 0, 0] == -b[0, 1, 0, 0]  # u = 1 against u = -1 at v = 1
 
 
 def test_bilinear_linear_growth_far_out():
     spec = bilinear_problem()
-    worst = 0.0
-    for x in np.linspace(-1e3, 1e3, 101):
-        b, sig = eval_coefficients(spec, 0.0, x, 1.0, 1.0)
-        worst = max(worst, (abs(b[0]) + abs(sig[0, 0])) / (1.0 + abs(x)))
-    assert worst <= 6.0
+    xs = np.linspace(-1e3, 1e3, 101)
+    b, sig = spec.coefficient_table(0.0, xs[:, None])
+    # (u, v) = (1, 1) at every state
+    ratio = (np.abs(b[1, 1, :, 0]) + np.abs(sig[1, 1, :, 0, 0])) / (1.0 + np.abs(xs))
+    assert ratio.max() <= 6.0
 
 
 def test_affine_drift_formula():
@@ -256,14 +252,6 @@ def test_problem_spec_validation():
         dataclasses.replace(spec, start_time=0.9)  # past the horizon
     with pytest.raises(ProblemError):
         dataclasses.replace(spec, start_state=(0.0, 0.0))
-
-
-def test_eval_coefficients_domain_checks():
-    spec = bilinear_problem()
-    with pytest.raises(ProblemError):
-        eval_coefficients(spec, 0.9, 0.0, 1.0, 1.0)  # t > T
-    with pytest.raises(ProblemError):
-        eval_coefficients(spec, 0.0, 0.0, 0.5, 1.0)  # u not in the grid
 
 
 def test_validate_assumptions_benchmark():

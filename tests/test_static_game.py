@@ -6,13 +6,10 @@ from isaacslab.static_game import (
     StaticGameError,
     local_saddle,
     local_values,
-    lower_value,
     mix,
-    mixed_value,
     play_one_period,
     representation_residual,
     saddle,
-    upper_value,
 )
 
 seed = 0
@@ -23,14 +20,13 @@ F = np.array([[1.0, 2.0], [3.0, 0.0]])
 
 
 def test_lower_upper_on_uv_game():
-    val_lo, u_star, beta = lower_value(UV)
-    val_hi, v_star, alpha = upper_value(UV)
-    assert val_lo == -1.0
-    assert val_hi == 1.0
+    sad = saddle(UV, 0.5)
+    assert sad.lower == -1.0
+    assert sad.upper == 1.0
     # the second mover answers with the sign-opposing (resp. matching) action
-    assert beta.tolist() == [1, 0]
-    assert alpha.tolist() == [0, 1]
-    assert u_star == 0 and v_star == 0  # ties break to the lowest index
+    assert sad.beta_star.tolist() == [1, 0]
+    assert sad.alpha_star.tolist() == [0, 1]
+    assert sad.u_star == 0 and sad.v_star == 0  # ties break to the lowest index
 
 
 def _tied_actions(shape, rng):
@@ -70,25 +66,24 @@ def test_local_saddle_keeps_the_lowest_tied_index():
 
 
 def test_lower_upper_on_integer_matrix():
-    val_lo, u_star, _ = lower_value(F)
-    val_hi, v_star, _ = upper_value(F)
-    assert val_lo == 1.0 and u_star == 0  # row mins (1, 0)
-    assert val_hi == 2.0 and v_star == 1  # column maxes (3, 2)
+    sad = saddle(F, 0.5)
+    assert sad.lower == 1.0 and sad.u_star == 0  # row mins (1, 0)
+    assert sad.upper == 2.0 and sad.v_star == 1  # column maxes (3, 2)
 
 
 def test_constant_matrix_is_its_own_value():
     c = np.full((3, 2), 0.7)
-    assert lower_value(c)[0] == 0.7
-    assert upper_value(c)[0] == 0.7
+    sad = saddle(c, 0.4)
+    assert sad.lower == 0.7 and sad.upper == 0.7
     supinf, infsup, residual = representation_residual(c, 0.4)
     assert supinf == 0.7 and infsup == 0.7 and residual == 0.0
 
 
 def test_mixed_value_endpoints_and_blend():
-    assert mixed_value(UV, 0.5) == 0.0
-    assert mixed_value(UV, 0.25) == 0.5
-    assert mixed_value(UV, 1.0) == lower_value(UV)[0]
-    assert mixed_value(UV, 0.0) == upper_value(UV)[0]
+    assert saddle(UV, 0.5).mixed == 0.0
+    assert saddle(UV, 0.25).mixed == 0.5
+    assert saddle(UV, 1.0).mixed == saddle(UV, 1.0).lower
+    assert saddle(UV, 0.0).mixed == saddle(UV, 0.0).upper
 
 
 def test_mixed_value_affine_in_prio():
@@ -96,8 +91,8 @@ def test_mixed_value_affine_in_prio():
     mat = rng.normal(size=(3, 4))
     a, b, lam = 0.2, 0.9, 0.3
     blend = lam * a + (1 - lam) * b
-    direct = mixed_value(mat, blend)
-    split = lam * mixed_value(mat, a) + (1 - lam) * mixed_value(mat, b)
+    direct = saddle(mat, blend).mixed
+    split = lam * saddle(mat, a).mixed + (1 - lam) * saddle(mat, b).mixed
     assert abs(direct - split) < 1e-12
 
 
@@ -151,7 +146,8 @@ def test_lower_never_exceeds_upper():
     rng = np.random.default_rng(seed)
     for _ in range(200):
         mat = rng.normal(size=(rng.integers(1, 5), rng.integers(1, 5)))
-        assert lower_value(mat)[0] <= upper_value(mat)[0] + 1e-12
+        sad = saddle(mat, 0.5)
+        assert sad.lower <= sad.upper + 1e-12
 
 
 def test_input_validation():
@@ -160,7 +156,7 @@ def test_input_validation():
     with pytest.raises(StaticGameError):
         LocalGameMatrix(np.array([[np.nan, 0.0]]))
     with pytest.raises(StaticGameError):
-        mixed_value(UV, 1.2)
+        saddle(UV, 1.2)
     with pytest.raises(StaticGameError):
         representation_residual(np.zeros((5, 2)), 0.5)  # enumeration cap
 

@@ -1,10 +1,10 @@
 """Median CPU time of the solver layers on the benchmark game.
 
-Usage: python3 tools/time_layers.py [pde|dp|play ...] [R]
+Usage: python3 tools/time_layers.py [pde|dp|play|import ...] [R]
 
 Every layer runs on configs/benchmark.cfg (p = 0.5) on [-8, 8], R times
 per call (default 5), with BLAS on one thread, and prints the median CPU
-seconds of the call alone; with no layer named, all three run.
+seconds of the call alone; with no layer named, all four run.
 - pde: pde.solve for the lower, upper and mixed Hamiltonians at 641, 1281
   and 2561 nodes at the CFL step, with the step count and each median
   divided by it in microseconds per step.
@@ -26,9 +26,15 @@ seconds of the call alone; with no layer named, all three run.
   resident set (VmHWM, Linux) of a fresh subprocess that sets up the same
   inputs and makes the call once, with its peak after set-up alone, and
   the Gaussian noise draws the call makes.
+- import: R fresh interpreters, each importing numpy and then isaacslab.cli
+  with BLAS on one thread, as `bench/run.py --setup-only` does inside
+  setup_s; the CPU of the whole interpreter (user + system, from the
+  child's rusage) and of each import alone.  With PYTHONDONTWRITEBYTECODE
+  set, every interpreter compiles the package from source.
 """
 import dataclasses
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -166,7 +172,36 @@ def time_play(spec, repeats: int) -> None:
               f"{draws:12d}")
 
 
-LAYERS = {"pde": time_pde, "dp": time_dp, "play": time_play}
+_IMPORT_CLI = """
+import time
+c0 = time.process_time()
+import numpy
+c1 = time.process_time()
+import isaacslab.cli
+print(c1 - c0, time.process_time() - c1)
+"""
+
+
+def import_cpu() -> tuple[float, float, float]:
+    """CPU s of one fresh interpreter importing isaacslab.cli: whole, numpy, the package."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    out = subprocess.run([sys.executable, "-c", _IMPORT_CLI], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    whole = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return whole, float(out[0]), float(out[1])
+
+
+def time_import(spec, repeats: int) -> None:
+    runs = np.array([import_cpu() for _ in range(repeats)])
+    print("fresh interpreter importing isaacslab.cli, median CPU s over", repeats, "runs")
+    print(f"{'interpreter':>12s} {'numpy':>8s} {'isaacslab':>10s}")
+    whole, numpy_s, package_s = np.median(runs, axis=0)
+    print(f"{whole:12.3f} {numpy_s:8.3f} {package_s:10.3f}")
+
+
+LAYERS = {"pde": time_pde, "dp": time_dp, "play": time_play, "import": time_import}
 
 
 def main(args: list[str]) -> None:
