@@ -30,9 +30,9 @@ marks, subgrid = make_marks(partition, prio, block)
 print(f"partition: {n_intervals} intervals on [0, {horizon}], blocks of {block}")
 print()
 print("block  t_start  target p  marks                     ones/len")
-for lo, hi in subgrid.block_slices():
-    t0 = partition.times[lo]
-    target = prio.scalar(t0)
+blocks = subgrid.block_slices()
+starts = partition.times[[lo for lo, _ in blocks]]
+for (lo, hi), t0, target in zip(blocks, starts, prio.time_values(starts)):
     bits = "".join(str(int(m)) for m in marks.array[lo:hi])
     frac = marks.array[lo:hi].mean()
     print(f"{lo // block:5d}  {t0:7.3f}  {target:8.3f}  {bits:24s}  {frac:.3f}")

@@ -25,7 +25,9 @@ a plain action for leading and a counter map for responding.
 
 Monte Carlo play re-runs the same rounds forward with Euler sub-steps and
 frozen actions per interval, snapping states to the nearest node for
-strategy lookup while keeping raw states for the dynamics.  A pair of
+strategy lookup while keeping raw states for the dynamics.  Each round a
+strategy names its moves once, a plain action and a counter map on the
+opponent's, and the priority decides which one it plays.  A pair of
 Markov tables plays by node and coin alone, so its interval is resolved
 once per (coin face, node) key, 2 * nodes of them, and each path reads its
 frozen lane by key; strategies that remember the previous node are
@@ -284,10 +286,10 @@ class _MarkovTable:
     accessors return ``np.intp`` either way, so callers never do index
     arithmetic in a narrow dtype.
 
-    Every strategy answers ``plain_actions(k, nodes, prev)`` and
-    ``counter_actions(k, nodes, prev, opp)``, where ``prev`` holds each
-    path's node index at the previous interval (``None`` at k = 0); a
-    Markov table ignores it.
+    Every strategy answers ``moves(k, nodes, prev)`` with its own actions
+    at ``nodes`` and a pure function mapping the opponent's actions there
+    to its replies.  ``prev`` holds each path's node index at the previous
+    interval (``None`` at k = 0); a Markov table ignores it.
     """
 
     def __init__(self, grid: SpatialGrid, starts, plain, counter):
@@ -320,18 +322,17 @@ class _MarkovTable:
             raise EngineError(f"interval {k} precedes the first strategy row")
         return r
 
-    def plain_actions(self, k: int, nodes: np.ndarray, prev) -> np.ndarray:
-        return self.plain[self._row(k)].take(nodes).astype(np.intp, copy=False)
-
-    def counter_actions(
-        self, k: int, nodes: np.ndarray, prev, opp: np.ndarray
-    ) -> np.ndarray:
+    def moves(self, k: int, nodes: np.ndarray, prev) -> tuple[np.ndarray, Callable]:
+        r = self._row(k)
         n_opp = self.counter.shape[2]
-        # the flat index would read an out-of-range opp from a neighbouring node
-        if opp.min() < 0 or opp.max() >= n_opp:
-            raise EngineError(f"opponent action index outside [0, {n_opp})")
-        flat = self._counter_rows[self._row(k)].take(nodes * n_opp + opp)
-        return flat.astype(np.intp, copy=False)
+
+        def counter(opp: np.ndarray) -> np.ndarray:
+            # the flat index would read an out-of-range opp from a neighbouring node
+            if opp.min() < 0 or opp.max() >= n_opp:
+                raise EngineError(f"opponent action index outside [0, {n_opp})")
+            return self._counter_rows[r].take(nodes * n_opp + opp).astype(np.intp, copy=False)
+
+        return self.plain[r].take(nodes).astype(np.intp, copy=False), counter
 
 
 class MarkovStrategyU(_MarkovTable):
@@ -343,27 +344,18 @@ class MarkovStrategyV(_MarkovTable):
 
 
 _U64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix_prefix(*values: int) -> int:
-    """The mix of values shared by every path, as a wrapped uint64 Python int."""
-    acc = 0
-    for value in values:
-        acc = (acc + (value & _U64) + _GOLDEN) & _U64
-        acc = ((acc ^ (acc >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-        acc = ((acc ^ (acc >> 27)) * 0x94D049BB133111EB) & _U64
-        acc = acc ^ (acc >> 31)
-    return acc
+def _mix_into(acc: np.ndarray, value, tmp: np.ndarray) -> np.ndarray:
+    """Continue splitmix64 in ``acc`` (uint64, wrapping, in place) by an int or an int array.
 
-
-def _words(arr: np.ndarray) -> np.ndarray:
-    """An int array's bits as uint64, keeping the two's complement as astype does."""
-    return arr.astype(np.int64, copy=False).view(np.uint64)
-
-
-def _scramble(acc: np.ndarray, tmp: np.ndarray) -> None:
-    """splitmix64's finalizer on the uint64 accumulator, in place, with a temporary."""
+    A value enters by its two's complement bits; ``tmp`` holds each shift.
+    """
+    if isinstance(value, np.ndarray):
+        acc += value.astype(np.int64, copy=False).view(np.uint64)
+    else:
+        acc += np.uint64(int(value) & _U64)
+    acc += np.uint64(0x9E3779B97F4A7C15)
     np.right_shift(acc, np.uint64(30), out=tmp)
     acc ^= tmp
     acc *= np.uint64(0xBF58476D1CE4E5B9)
@@ -372,30 +364,6 @@ def _scramble(acc: np.ndarray, tmp: np.ndarray) -> None:
     acc *= np.uint64(0x94D049BB133111EB)
     np.right_shift(acc, np.uint64(31), out=tmp)
     acc ^= tmp
-
-
-def _mix_into(acc: np.ndarray, arr: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Continue the mix in ``acc`` (uint64, updated in place) by one more int array."""
-    acc += _words(arr)
-    acc += np.uint64(_GOLDEN)
-    _scramble(acc, tmp)
-    return acc
-
-
-def _mix_hash(prefix: int, *arrays: np.ndarray) -> np.ndarray:
-    """Deterministic integer mix (splitmix-style) of equal-length int arrays.
-
-    Continues from ``prefix``, the mix of any leading values equal on every
-    path, so ``_mix_hash(_mix_prefix(a, b), x)`` hashes (a, b, x).  Works in
-    place on one accumulator and one temporary; uint64 arrays wrap silently,
-    so addition is associative and the accumulator starts as the first
-    array plus prefix + golden, precombined.
-    """
-    acc = _words(arrays[0]) + np.uint64((prefix + _GOLDEN) & _U64)
-    tmp = np.empty_like(acc)
-    _scramble(acc, tmp)
-    for arr in arrays[1:]:
-        _mix_into(acc, arr, tmp)
     return acc
 
 
@@ -407,14 +375,10 @@ class _HashFeedback:
     node.  The last node is ``prev``, the node of the previous interval,
     taken as 0 at the first interval.
 
-    The mix of (seed, interval, node) takes one value per grid node, so it
-    is hashed once per interval over the nodes and gathered per path; the
-    plain move continues it by the last node, and the counter move
-    continues the plain move's hash by the opponent's action.  That hash is
-    kept from the last ``plain_actions`` call for the next
-    ``counter_actions`` call, which uses it when asked with the same
-    interval and the same ``nodes`` and ``prev`` objects (they must not
-    change in between) and rehashes otherwise.
+    The mix of (seed, interval, node) takes one value per grid node, so
+    ``moves`` hashes it once over the nodes, gathers it per path and
+    continues it by the last node for the plain move; the counter map
+    continues a copy of that hash by the opponent's action.
     """
 
     def __init__(self, grid: SpatialGrid, n_actions: int, seed: int):
@@ -423,30 +387,21 @@ class _HashFeedback:
         self.grid = grid
         self.n_actions = int(n_actions)
         self.seed = int(seed)
-        self._plain_hash = (None, None, None, None)  # (k, nodes, prev, hash per path)
 
-    def _hash(self, k: int, nodes: np.ndarray, prev) -> np.ndarray:
-        """The mix of (seed, k, node, last node) per path."""
-        hk, h_nodes, h_prev, acc = self._plain_hash
-        if hk == k and h_nodes is nodes and h_prev is prev:
-            return acc
-        acc = _mix_hash(_mix_prefix(self.seed, k), np.arange(self.grid.nodes)).take(nodes)
+    def moves(self, k: int, nodes: np.ndarray, prev) -> tuple[np.ndarray, Callable]:
+        per_node = np.zeros(self.grid.nodes, dtype=np.uint64)
+        tmp = np.empty_like(per_node)
+        for value in (self.seed, k, np.arange(self.grid.nodes)):
+            _mix_into(per_node, value, tmp)
+        acc = per_node.take(nodes)
         _mix_into(acc, np.zeros_like(nodes) if prev is None else prev, np.empty_like(acc))
-        self._plain_hash = (k, nodes, prev, acc)
-        return acc
+        n = np.uint64(self.n_actions)
 
-    def _pick(self, acc: np.ndarray) -> np.ndarray:
-        return (acc % np.uint64(self.n_actions)).astype(np.intp)
+        def counter(opp: np.ndarray) -> np.ndarray:
+            reply = acc.copy()
+            return (_mix_into(reply, opp, np.empty_like(reply)) % n).astype(np.intp)
 
-    def plain_actions(self, k: int, nodes: np.ndarray, prev) -> np.ndarray:
-        return self._pick(self._hash(k, nodes, prev))
-
-    def counter_actions(
-        self, k: int, nodes: np.ndarray, prev, opp: np.ndarray
-    ) -> np.ndarray:
-        acc = self._hash(k, nodes, prev)
-        self._plain_hash = (None, None, None, None)  # acc is now this call's to update
-        return self._pick(_mix_into(acc, opp, np.empty_like(acc)))
+        return (acc % n).astype(np.intp), counter
 
 
 class HashFeedbackStrategyU(_HashFeedback):
@@ -468,8 +423,10 @@ def random_markov_strategy(
     """Uniformly random per-interval Markov tables; a weak but fair challenger.
 
     The draws are int64 and stored in the narrowest unsigned dtype that
-    holds ``n_own - 1``, value for value.
+    holds ``n_own - 1``, value for value.  ``side`` is ``"u"`` or ``"v"``.
     """
+    if side not in ("u", "v"):
+        raise EngineError(f"side must be 'u' or 'v', got {side!r}")
     rng = np.random.default_rng(_check_seed(seed))
     rows = partition.intervals
     dtype = _action_dtype(n_own)
@@ -682,21 +639,21 @@ def simulate(
 
     Per interval: snap states to the nearest node, settle who moves
     second (mark or coin; a coin is drawn every interval regardless of
-    the priority value), let the second mover's counter map answer the
-    leader's plain action, then freeze both actions and take Euler
-    sub-steps.  Each strategy sees the interval index, the current nodes
-    and the previous interval's nodes (``None`` at k = 0); an action index
-    outside its side's action set raises :class:`EngineError`.  When both
-    strategies are Markov tables the actions are settled once per node and
-    coin face and read by each path, so a table is range-checked at every
-    node, visited or not, with ``prev`` as ``None``.  A time-only
-    priority is tabulated once over the interval starts, and each coin is
-    compared with that interval's float.  For a state-independent
-    coefficient family the coefficients are frozen with the actions: each
-    path's drift step b dt/substeps and sigma are gathered once per
-    interval from the action-pair table, bitwise what a per-sub-step
-    evaluation gives; a state-dependent family is evaluated at every
-    sub-step.  The first ``record`` paths keep a full audit trail.
+    the priority value), ask each strategy once for its moves, let the
+    second mover's counter map answer the leader's plain action, then
+    freeze both actions and take Euler sub-steps.  Each strategy sees the
+    interval index, the current nodes and the previous interval's nodes
+    (``None`` at k = 0); an action index outside its side's action set
+    raises :class:`EngineError`.  When both strategies are Markov tables
+    the actions are settled once per node and coin face and read by each
+    path, so a table is range-checked at every node, visited or not, with
+    ``prev`` as ``None``.  A time-only priority is tabulated once over the
+    interval starts, and each coin is compared with that interval's float.
+    For a state-independent coefficient family the coefficients are frozen
+    with the actions: each path's drift step b dt/substeps and sigma are
+    gathered once per interval from the action-pair table, bitwise what a
+    per-sub-step evaluation gives; a state-dependent family is evaluated
+    at every sub-step.  The first ``record`` paths keep a full audit trail.
     """
     return _play(spec, partition, mode, [(strat_u, strat_v)], paths, substeps, noise, record)[0]
 
@@ -773,14 +730,16 @@ def _play(
     the state, else as the action vectors (U, V) that every sub-step
     evaluates the coefficients at.
 
-    When both strategies of a lane are Markov tables, the interval's
-    actions depend only on the node and the coin, so they are resolved
-    and frozen once on a key axis of 2 * nodes entries (node j on tails is
-    key j, on heads key nodes + j) and each path takes its lane by its key
-    heads * nodes + node; this also range-checks every node's actions, not
-    only the visited ones.  Other strategies may read ``prev`` and are
-    resolved per path.  Each Euler sub-step updates the states in place,
-    as x += b h and then x += sigma dW, bitwise x + b h + sigma dW.
+    Each strategy makes one ``moves`` call per lane and interval, whose
+    counter map answers the other side once and is dropped before the
+    sub-steps.  When both strategies of a lane are Markov tables, the
+    interval's actions depend only on the node and the coin, so they are
+    resolved and frozen once on a key axis of 2 * nodes entries (node j on
+    tails is key j, on heads key nodes + j) and each path takes its lane by
+    its key heads * nodes + node; this also range-checks every node's
+    actions, not only the visited ones.  Other strategies may read ``prev``
+    and are resolved per path.  Each Euler sub-step updates the states in
+    place, as x += b h and then x += sigma dW, bitwise x + b h + sigma dW.
     """
     if spec.dim != 1:
         raise EngineError("the simulator handles state dimension 1")
@@ -854,10 +813,11 @@ def _play(
                 heads = coins < spec.priority_values(t_prev, x[:, None])
             keyed = key_axes[i] is not None
             at, at_prev, at_heads = key_axes[i] if keyed else (nodes, prev, heads)
-            u_plain = strat_u.plain_actions(k, at, at_prev)
-            v_plain = strat_v.plain_actions(k, at, at_prev)
-            v_resp = strat_v.counter_actions(k, at, at_prev, u_plain)
-            u_resp = strat_u.counter_actions(k, at, at_prev, v_plain)
+            u_plain, u_counter = strat_u.moves(k, at, at_prev)
+            v_plain, v_counter = strat_v.moves(k, at, at_prev)
+            v_resp = v_counter(u_plain)
+            u_resp = u_counter(v_plain)
+            del u_counter, v_counter  # a counter map may hold a hash per path
             iu = _select(at_heads, u_plain, u_resp)
             iv = _select(at_heads, v_resp, v_plain)
             # a flat pair index would alias an out-of-range action into another pair

@@ -305,6 +305,8 @@ def solve(
     Raises :class:`CflError` if dt exceeds :func:`cfl_max_dt` and
     :class:`BlowupError` if any slice leaves the terminal bounds (the
     monotone scheme never does unless the stability bound was violated).
+    A step too small to move the time past the float spacing at the start
+    time raises :class:`PdeError` before the march.
     The update is v(t - dt, x) = v(t, x) + dt * H(t, x, Dv(t), D2v(t)):
     coefficients, priority and differences all read the known slice.
     The coefficients ignore t, so the coefficient table
@@ -341,6 +343,12 @@ def solve(
     m = max(1, int(np.ceil(span / dt - 1e-12)))
     dt_eff = span / m
     times = spec.start_time + np.arange(m + 1) * dt_eff
+    # a step below the float spacing near the start time repeats step times
+    if not np.all(times[1:] > times[:-1]):
+        raise PdeError(
+            f"the time grid collapses: step {dt_eff:.3g} against a float spacing "
+            f"of {np.spacing(spec.start_time):.3g} at the start time {spec.start_time:.6g}"
+        )
     dx = grid.dx
     b, s2 = coefficient_table(spec, float(times[m]), grid.xs)
     # w[0], w[1] and w[2] weigh D+, D- and W: the upwind drift and half the

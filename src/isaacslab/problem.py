@@ -528,15 +528,6 @@ class PrioritySpec:
             )
         return out
 
-    def scalar(self, t: float, x=None) -> float:
-        """p at a single point; x may be omitted for time-only families."""
-        if x is None:
-            if not self.time_only:
-                raise ProblemError("state required: priority is state-dependent")
-            x = np.zeros(self.dim)
-        X = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, self.dim)
-        return float(self.value(t, X)[0])
-
 
 # --- the assembled problem -----------------------------------------------------
 

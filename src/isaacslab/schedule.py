@@ -166,13 +166,13 @@ def make_marks(
     """Greedy 0/1 marks matching a time-only priority on blocks of ``block`` intervals.
 
     The priority is evaluated once per block, at the block's starting
-    time.  Interval k receives mark 1 exactly when the mass of ones so
-    far would otherwise fall below the accumulated target mass through
-    the end of interval k.  The deficit is not reset at block seams, so
-    a fractional target (say p = 0.5 with odd blocks) alternates which
-    side of the target each block lands on rather than biasing them all
-    the same way.  Blocks have ``block`` intervals each except possibly
-    a shorter final one.
+    time, in one table over the block starts.  Interval k receives mark 1
+    exactly when the mass of ones so far would otherwise fall below the
+    accumulated target mass through the end of interval k.  The deficit
+    is not reset at block seams, so a fractional target (say p = 0.5 with
+    odd blocks) alternates which side of the target each block lands on
+    rather than biasing them all the same way.  Blocks have ``block``
+    intervals each except possibly a shorter final one.
     """
     if not prio.time_only:
         raise ScheduleError("deterministic marks need a time-only priority")
@@ -190,8 +190,9 @@ def make_marks(
     marks: list[int] = []
     ones_mass = 0.0
     base_mass = 0.0
-    for lo, hi in subgrid.block_slices():
-        target = prio.scalar(float(times[lo]))
+    blocks = subgrid.block_slices()
+    targets = prio.time_values(times[[lo for lo, _ in blocks]]).tolist()
+    for (lo, hi), target in zip(blocks, targets):
         for k in range(lo, hi):
             goal = base_mass + target * float(times[k + 1] - times[lo])
             take = ones_mass < goal - tie_tol
@@ -228,14 +229,13 @@ def check_density(
     xi = marks.array
     lengths: list[float] = []
     deviations: list[float] = []
-    targets: list[float] = []
-    for lo, hi in subgrid.block_slices():
+    blocks = subgrid.block_slices()
+    targets = prio.time_values(partition.times[[lo for lo, _ in blocks]]).tolist()
+    for (lo, hi), target in zip(blocks, targets):
         duration = float(partition.times[hi] - partition.times[lo])
         ones_mass = float(np.sum(steps[lo:hi] * xi[lo:hi]))
-        target = prio.scalar(float(partition.times[lo]))
         lengths.append(duration)
         deviations.append(abs(ones_mass / duration - target))
-        targets.append(target)
     return DensityReport(
         epsilon=float(epsilon),
         block_lengths=tuple(lengths),

@@ -393,36 +393,28 @@ def test_hash_feedback_uses_history():
     nodes = np.arange(60)
     prev_a = np.full(60, 3)
     prev_b = np.full(60, 4)
-    picks_a = strat.plain_actions(1, nodes, prev_a)
-    picks_b = strat.plain_actions(1, nodes, prev_b)
+    picks_a, counter_a = strat.moves(1, nodes, prev_a)
+    picks_b, _ = strat.moves(1, nodes, prev_b)
     assert not np.array_equal(picks_a, picks_b)
-    assert np.array_equal(picks_a, strat.plain_actions(1, nodes, prev_a))
+    assert np.array_equal(picks_a, strat.moves(1, nodes, prev_a)[0])
     # no previous interval reads as last node 0
     assert np.array_equal(
-        strat.plain_actions(0, nodes, None), strat.plain_actions(0, nodes, np.zeros(60, int))
+        strat.moves(0, nodes, None)[0], strat.moves(0, nodes, np.zeros(60, int))[0]
     )
     # counter moves react to the opponent's action
-    opp0 = strat.counter_actions(1, nodes, prev_a, np.zeros(60, int))
-    opp1 = strat.counter_actions(1, nodes, prev_a, np.ones(60, int))
-    assert not np.array_equal(opp0, opp1)
+    assert not np.array_equal(counter_a(np.zeros(60, int)), counter_a(np.ones(60, int)))
 
 
 class _RecordingStrategy:
-    """Plays action 0 everywhere and records what each call was handed."""
+    """Plays action 0 everywhere and records what each moves call was handed."""
 
     def __init__(self, grid):
         self.grid = grid
         self.calls = []
 
-    def _record(self, k, nodes, prev):
+    def moves(self, k, nodes, prev):
         self.calls.append((k, nodes.copy(), None if prev is None else prev.copy()))
-        return np.zeros_like(nodes)
-
-    def plain_actions(self, k, nodes, prev):
-        return self._record(k, nodes, prev)
-
-    def counter_actions(self, k, nodes, prev, opp):
-        return self._record(k, nodes, prev)
+        return np.zeros_like(nodes), np.zeros_like
 
 
 def test_simulate_hands_strategies_the_previous_nodes():
@@ -437,7 +429,7 @@ def test_simulate_hands_strategies_the_previous_nodes():
     nodes_at = [grid.nearest_index(states[k]) for k in range(part.intervals)]
     assert not np.array_equal(nodes_at[0], nodes_at[-1])  # the paths do move
     for strat in (su, sv):
-        assert [k for k, _, _ in strat.calls] == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert [k for k, _, _ in strat.calls] == [0, 1, 2, 3]
         for k, nodes, prev in strat.calls:
             assert np.array_equal(nodes, nodes_at[k])
             if k == 0:
@@ -792,32 +784,32 @@ def test_hash_feedback_prefix_matches_full_array_mix(seed_value):
                 want_counter = _oracle_mix_hash(seed_arr, k_arr, nodes, last, opp) % np.uint64(
                     n_actions
                 )
-                hist = None if k == 0 else prev
-                got_plain = strat.plain_actions(k, nodes, hist)
-                got_counter = strat.counter_actions(k, nodes, hist, opp)
+                got_plain, counter = strat.moves(k, nodes, None if k == 0 else prev)
+                got_counter = counter(opp)
                 assert got_plain.tobytes() == want_plain.astype(int).tobytes()
                 assert got_counter.tobytes() == want_counter.astype(int).tobytes()
 
 
-def test_hash_feedback_counter_move_rehashes_unless_asked_on_the_plain_arrays():
+def test_counter_maps_are_pure_functions_of_their_moves_call():
     grid = SpatialGrid(-6.0, 6.0, 121)
+    part = make_uniform_partition(0.0, 0.5, 6)
     nodes = np.arange(121)
     prev = nodes[::-1].copy()
     opp = nodes % 2
-    strat = HashFeedbackStrategyU(grid, 3, 17)
-    want = _oracle_mix_hash(np.full(121, 17), np.full(121, 4), nodes, prev, opp) % np.uint64(3)
-    want = want.astype(np.intp).tobytes()
-    # no plain move first, a plain move on other arrays, on equal copies, and the same ones
-    assert strat.counter_actions(4, nodes, prev, opp).tobytes() == want
-    strat.plain_actions(4, nodes, nodes.copy())
-    assert strat.counter_actions(4, nodes, prev, opp).tobytes() == want
-    strat.plain_actions(5, nodes, prev)
-    assert strat.counter_actions(4, nodes, prev, opp).tobytes() == want
-    strat.plain_actions(4, nodes.copy(), prev.copy())
-    assert strat.counter_actions(4, nodes, prev, opp).tobytes() == want
-    strat.plain_actions(4, nodes, prev)
-    assert strat.counter_actions(4, nodes, prev, opp).tobytes() == want
-    assert strat.counter_actions(4, nodes, prev, opp).tobytes() == want
+    hashed = _oracle_mix_hash(np.full(121, 17), np.full(121, 4), nodes, prev, opp) % np.uint64(3)
+    table = random_markov_strategy("v", grid, part, 3, 2, 5)
+    cases = [
+        (HashFeedbackStrategyU(grid, 3, 17), hashed.astype(np.intp)),
+        (table, table.counter[4, nodes, opp].astype(np.intp)),
+    ]
+    for strat, want in cases:
+        _, counter = strat.moves(4, nodes, prev)
+        assert counter(opp).tobytes() == want.tobytes()
+        assert counter(opp).tobytes() == want.tobytes()
+        # other replies, and a moves call at another interval on other arrays
+        counter(1 - opp)
+        strat.moves(5, nodes[::-1].copy(), nodes.copy())
+        assert counter(opp).tobytes() == want.tobytes()
 
 
 def test_mix_hash_in_place_matches_oracle():
@@ -829,12 +821,16 @@ def test_mix_hash_in_place_matches_oracle():
     lead = np.full(20_000, -7)
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = engine._mix_hash(0, *arrays)
-        want = _oracle_mix_hash(*arrays)
-        assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
-        # a prefix continues the mix of leading values equal on every path
-        got = engine._mix_hash(engine._mix_prefix(-7), arrays[0])
-        assert got.tobytes() == _oracle_mix_hash(lead, arrays[0]).tobytes()
+        acc = np.zeros(20_000, dtype=np.uint64)
+        tmp = np.empty_like(acc)
+        for arr in arrays:
+            assert engine._mix_into(acc, arr, tmp) is acc
+        assert acc.dtype == np.uint64 and acc.tobytes() == _oracle_mix_hash(*arrays).tobytes()
+        # an int mixes as an array of it would, by its two's complement bits
+        acc = np.zeros(20_000, dtype=np.uint64)
+        engine._mix_into(acc, -7, tmp)
+        engine._mix_into(acc, arrays[0], tmp)
+        assert acc.tobytes() == _oracle_mix_hash(lead, arrays[0]).tobytes()
 
 
 def test_perturbed_strategy_tries_an_action_the_base_never_plays():
@@ -889,11 +885,11 @@ def test_challenger_tables_are_compact_and_value_for_value():
     # the accessors hand out np.intp, so callers never do index arithmetic in uint8
     nodes = np.arange(grid.nodes)
     for strat in (rand, near, many, saddle):
-        plain = strat.plain_actions(0, nodes, None)
+        plain = strat.moves(0, nodes, None)[0]
         assert plain.dtype == np.intp
         assert np.array_equal(plain, strat.plain[0])
         opp = nodes % strat.counter.shape[2]
-        reply = strat.counter_actions(2, nodes, None, opp)
+        reply = strat.moves(2, nodes, None)[1](opp)
         assert reply.dtype == np.intp
         assert np.array_equal(reply, strat.counter[2, nodes, opp])
     # a table keeps the integer dtype it is given
@@ -1046,13 +1042,12 @@ def test_exploitability_draws_each_coin_and_noise_block_once(monkeypatch):
 
 
 def _oracle_actions(strat, k, nodes, prev, opp=None):
-    """A Markov table's actions by two-index gathers; other strategies answer themselves."""
+    """A Markov table's actions by two-index gathers; other strategies answer by their moves."""
     if isinstance(strat, engine._MarkovTable):
         row = strat._row(k)
         return strat.plain[row, nodes] if opp is None else strat.counter[row, nodes, opp]
-    if opp is None:
-        return strat.plain_actions(k, nodes, prev)
-    return strat.counter_actions(k, nodes, prev, opp)
+    plain, counter = strat.moves(k, nodes, prev)
+    return plain if opp is None else counter(opp)
 
 
 def _oracle_play(spec, part, marks, strat_u, strat_v, paths, substeps, coin_seed, noise_seed):
@@ -1211,12 +1206,13 @@ def test_counter_actions_reject_an_opponent_index_past_the_row():
     counter = np.arange(10).reshape(1, 5, 2) % 2
     strat = MarkovStrategyV(grid, (0,), np.zeros((1, 5), int), counter)
     nodes = np.array([0, 3, 4])
-    got = strat.counter_actions(0, nodes, None, np.array([1, 0, 1]))
+    got = strat.moves(0, nodes, None)[1](np.array([1, 0, 1]))
     assert got.tolist() == counter[0, nodes, [1, 0, 1]].tolist()
     # opp = 2 at node 0 would read node 1's first entry through a flat index
+    reply = strat.moves(0, np.array([0]), None)[1]
     for opp in (2, -1):
         with pytest.raises(EngineError):
-            strat.counter_actions(0, np.array([0]), None, np.array([opp]))
+            reply(np.array([opp]))
 
 
 def test_markov_out_of_range_action_at_an_unvisited_node_raises():
@@ -1237,6 +1233,16 @@ def test_markov_out_of_range_action_at_an_unvisited_node_raises():
     with pytest.raises(EngineError, match="outside"):
         simulate(prob, part, RandomMode(CoinSource(1)), bad, tables.strategy_v, paths, 2,
                  NoiseSource(2))
+
+
+def test_random_markov_strategy_rejects_an_unknown_side():
+    grid = SpatialGrid(-6.0, 6.0, 31)
+    part = make_uniform_partition(0.0, 0.5, 6)
+    assert type(random_markov_strategy("u", grid, part, 2, 2, 1)) is MarkovStrategyU
+    assert type(random_markov_strategy("v", grid, part, 2, 2, 1)) is MarkovStrategyV
+    for side in ("w", "U", "", None):
+        with pytest.raises(EngineError, match="^side must be 'u' or 'v', got "):
+            random_markov_strategy(side, grid, part, 2, 2, 1)
 
 
 def test_negative_seeds_raise_engine_errors_naming_the_seed():

@@ -246,6 +246,22 @@ def test_zero_horizon_returns_terminal():
     assert np.array_equal(field.values[0], prob.payoff_values(grid.xs[:, None]))
 
 
+def test_collapsed_time_grid_raises_before_the_march(monkeypatch):
+    # floats near 1e14 are 2**-6 apart, above the CFL step, so step times
+    # repeat; solve must say so without marching the field first
+    prob = dataclasses.replace(bilinear_problem(horizon=1e14 + 0.5), start_time=1e14)
+    grid = SpatialGrid(-8.0, 8.0, 201)
+    dt = pde.cfl_max_dt(prob, grid)
+    assert dt < np.spacing(1e14) == 2.0**-6
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("the march ran on a collapsed time grid")
+
+    monkeypatch.setattr(pde, "_backward_sweep", no_march)
+    with pytest.raises(PdeError, match=r"float spacing of 0.0156 at the start time 1e\+14$"):
+        pde.solve(prob, grid, dt)
+
+
 # --- the vectorised march against a per-step, per-action-pair oracle ----------
 
 COEFFICIENT_CASES = {

@@ -173,8 +173,7 @@ def test_constant_priority_range_checked():
 def test_linear_time_priority():
     prio = PrioritySpec("linear_time", (0.3, 0.4), dim=1)
     assert prio.time_only
-    assert prio.scalar(0.0) == 0.3
-    assert prio.scalar(0.5) == 0.3 + 0.4 * 0.5
+    assert prio.time_values([0.0, 0.5]).tolist() == [0.3, 0.3 + 0.4 * 0.5]
     bad = PrioritySpec("linear_time", (0.3, 2.0), dim=1)
     with pytest.raises(ProblemError):
         bad.value(0.9, np.zeros((1, 1)))  # 0.3 + 1.8 leaves [0, 1]
@@ -183,9 +182,9 @@ def test_linear_time_priority():
 def test_logistic_priority_state_dependence():
     prio = PrioritySpec("logistic", (0.0, 0.0, 1.0), dim=1)
     assert not prio.time_only
-    assert prio.scalar(0.0, 0.0) == 0.5
+    assert prio.value(0.0, np.zeros((1, 1))).tolist() == [0.5]
     with pytest.raises(ProblemError):
-        prio.scalar(0.0)  # state required
+        prio.time_values([0.0])  # state required
     flat = PrioritySpec("logistic", (0.4, -0.2, 0.0), dim=1)
     assert flat.time_only
 

@@ -24,8 +24,10 @@ seconds of the call alone; with no layer named, all four run.
   benchmark game; and exploitability for each frozen side, 16 challengers
   x 20k paths x 4 sub-steps.  Each exploitability row also gives the peak
   resident set (VmHWM, Linux) of a fresh subprocess that sets up the same
-  inputs and makes the call once, with its peak after set-up alone, and
-  the Gaussian noise draws the call makes.
+  inputs and makes the call once, with its peak after set-up alone, the
+  Gaussian noise draws the call makes, and the md5 of its roster's
+  (label, mean.hex(), std_error.hex()) rows: equal digests in two
+  checkouts mean every challenger's mean and SE agree bitwise.
 - import: R fresh interpreters, each importing numpy and then isaacslab.cli
   with BLAS on one thread, as `bench/run.py --setup-only` does inside
   setup_s; the CPU of the whole interpreter (user + system, from the
@@ -33,6 +35,7 @@ seconds of the call alone; with no layer named, all four run.
   set, every interpreter compiles the package from source.
 """
 import dataclasses
+import hashlib
 import os
 import resource
 import subprocess
@@ -111,6 +114,12 @@ def exploit(spec, part, tables, side: str):
                                  tables=tables, paths=20_000, substeps=4)
 
 
+def roster_digest(report) -> str:
+    """md5 of one exploitability report's (label, mean.hex(), std_error.hex()) rows."""
+    rows = "".join(f"{r.label},{r.mean.hex()},{r.std_error.hex()}\n" for r in report.results)
+    return hashlib.md5(rows.encode()).hexdigest()
+
+
 def peak_mb() -> float:
     """This process's peak resident set in MB (kB / 1024, as tools/cli_peak.py prints), from VmHWM.
 
@@ -164,12 +173,15 @@ def time_play(spec, repeats: int) -> None:
     print("641 nodes x 100 intervals, median CPU s over", repeats, "runs")
     for name, call in calls.items():
         print(f"{name:26s} {median_cpu(call, repeats):8.3f}")
-    print(f"{'':26s} {'CPU s':>8s} {'setup MB':>9s} {'peak MB':>8s} {'noise draws':>12s}")
+    print(f"{'':26s} {'CPU s':>8s} {'setup MB':>9s} {'peak MB':>8s} {'noise draws':>12s} "
+          f"{'roster md5':>32s}")
     for side in ("u", "v"):
-        cpu = median_cpu(lambda side=side: exploit(spec, part, tables, side), repeats)
+        reports = []
+        cpu = median_cpu(lambda side=side: reports.append(exploit(spec, part, tables, side)),
+                         repeats)
         setup, peak, draws = fresh_exploit_peak(side)
         print(f"{f'exploitability {side} 16x20k':26s} {cpu:8.3f} {setup:9.2f} {peak:8.2f} "
-              f"{draws:12d}")
+              f"{draws:12d} {roster_digest(reports[-1])}")
 
 
 _IMPORT_CLI = """
