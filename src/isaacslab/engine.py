@@ -23,18 +23,19 @@ which is the lower value itself at p = 1 and the upper value itself at
 p = 0, and the maximizing/minimizing choices yield Markov strategy tables:
 a plain action for leading and a counter map for responding.
 
-Monte Carlo play re-runs the same rounds forward with Euler sub-steps and
-frozen actions per interval, snapping states to the nearest node for
-strategy lookup while keeping raw states for the dynamics.  Each round a
-strategy names its moves once, a plain action and a counter map on the
-opponent's, and the priority decides which one it plays.  A pair of
+Monte Carlo play re-runs the same rounds forward with frozen actions per
+interval, snapping states to the nearest node for strategy lookup while
+keeping raw states for the dynamics.  Each round a strategy names its
+moves once, a plain action and a counter map on the opponent's, and the
+priority decides which one it plays.  A pair of
 Markov tables plays by node and coin alone, so its interval is resolved
 once per (coin face, node) key, 2 * nodes of them, and each path reads its
 frozen lane by key; strategies that remember the previous node are
 resolved per path.  When the coefficient family ignores the state, the
-coefficients are frozen with the actions: each drift step and sigma is
-read once per interval from the action-pair table, and a sub-step only
-adds the noise, in place.  Coins and Gaussian increments come from
+coefficients are frozen with the actions: each b h and sigma is read once
+per interval from the action-pair table, and each path moves once per
+interval by its exact Gaussian increment, in place; a state-dependent
+family takes Euler sub-steps.  Coins and Gaussian increments come from
 separate seeded streams, and one coin per interval is always consumed, so
 trajectories under different priorities are driven by identical noise.
 Several strategy pairs can advance in lockstep on one stream of coins and
@@ -118,15 +119,36 @@ class _SeededStream:
 
 
 class NoiseSource(_SeededStream):
-    """Seeded stream of Gaussian increments for the Euler sub-steps.
+    """Seeded stream of Gaussian increments for forward play.
 
-    Draw order is fixed (one (paths, noise_dim) block per sub-step), so
-    two runs with equal seeds and equal shapes see identical noise.
+    Draw order is fixed (one (paths, noise_dim) block per move: per
+    interval when the coefficients ignore the state, else per Euler
+    sub-step), so two runs with equal seeds and equal shapes see identical
+    noise.  ``draws`` counts that stream alone.  ``bridge`` splits
+    increments for an audit trail with a second generator derived from the
+    seed, so recording paths never shifts the main stream.
     """
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self._bridge_rng = np.random.default_rng([self.seed, 1])
 
     def increments(self, paths: int, noise_dim: int, dt: float) -> np.ndarray:
         self.draws += paths * noise_dim
         return self._rng.normal(0.0, np.sqrt(dt), size=(paths, noise_dim))
+
+    def bridge(self, dW: np.ndarray, substeps: int, dt: float) -> np.ndarray:
+        """Brownian-bridge split of increments dW ~ N(0, dt) into ``substeps`` parts.
+
+        Returns dW / S + sqrt(dt / S) (Z_s - mean_s Z_s), shape
+        (substeps, *dW.shape), for standard normals Z from the bridge
+        generator: given dW, the law of S independent N(0, dt / S)
+        increments that sum to dW (Glasserman, 2004, section 3.1).  The
+        parts sum to dW within rounding, and a single part is dW.
+        """
+        z = self._bridge_rng.standard_normal((substeps,) + dW.shape)
+        z -= z.mean(axis=0)
+        return dW / substeps + np.sqrt(dt / substeps) * z
 
 
 class CoinSource(_SeededStream):
@@ -508,7 +530,7 @@ def _dp_sweep(
     partition = lattice.partition
     value, (u_plain, u_counter, v_plain, v_counter), worst = _backward_sweep(
         spec, lattice.grid, partition.times, lattice.expect, p_steps,
-        partition.times[:-1], strategy_starts,
+        partition.times[:-1], strategy_starts, track_order=True,
     )
     return GameValueTables(
         mode=mode,
@@ -597,8 +619,13 @@ class PathRecord:
 
     ``substep_states`` holds every Euler point, ``states`` the decision-time
     states (every ``substeps``-th Euler point), and ``noise`` the Gaussian
-    increments, so the recursion X_next = X + b dt + sigma dW can be
-    replayed exactly.
+    increments, shape (intervals, substeps, noise_dim), so the recursion
+    X_next = X + b dt + sigma dW can be replayed.  A state-dependent family
+    moves by exactly that recursion, so it replays bitwise.  A state-free
+    family moves once per interval by its exact Gaussian increment; its
+    ``noise`` is that increment split by a Brownian bridge, its inner points
+    are the recursion on the parts, and each decision-time state is the
+    path's own, so a replay agrees within rounding.
     ``who_second[k]`` is True when v saw u in interval k.
     """
 
@@ -641,7 +668,7 @@ def simulate(
     second (mark or coin; a coin is drawn every interval regardless of
     the priority value), ask each strategy once for its moves, let the
     second mover's counter map answer the leader's plain action, then
-    freeze both actions and take Euler sub-steps.  Each strategy sees the
+    freeze both actions and move the states.  Each strategy sees the
     interval index, the current nodes and the previous interval's nodes
     (``None`` at k = 0); an action index outside its side's action set
     raises :class:`EngineError`.  When both strategies are Markov tables
@@ -649,11 +676,15 @@ def simulate(
     path, so a table is range-checked at every node, visited or not, with
     ``prev`` as ``None``.  A time-only priority is tabulated once over the
     interval starts, and each coin is compared with that interval's float.
-    For a state-independent coefficient family the coefficients are frozen
-    with the actions: each path's drift step b dt/substeps and sigma are
-    gathered once per interval from the action-pair table, bitwise what a
-    per-sub-step evaluation gives; a state-dependent family is evaluated
-    at every sub-step.  The first ``record`` paths keep a full audit trail.
+    For a state-independent coefficient family the state over an interval
+    of length h is exactly X + b h + sigma dW with dW ~ N(0, h), so each
+    path's b h and sigma are gathered once per interval from the
+    action-pair table and the path moves once, on one noise block per
+    interval; ``substeps`` then only refines the audit trail, and the
+    payoffs do not depend on it.  A state-dependent family takes
+    ``substeps`` Euler sub-steps per interval, evaluating the coefficients
+    at each.  The first ``record`` paths keep a full audit trail
+    (:class:`PathRecord`), which never changes the payoffs.
     """
     return _play(spec, partition, mode, [(strat_u, strat_v)], paths, substeps, noise, record)[0]
 
@@ -670,6 +701,22 @@ class _Trail:
         self.coins = np.full((n, record), np.nan)
         self.second = np.empty((n, record), dtype=bool)
         self.noise = np.empty((n, substeps, record, d_prime))
+
+    def bridge(self, k: int, parts: np.ndarray, bh: np.ndarray, sig: np.ndarray,
+               x: np.ndarray) -> None:
+        """Record interval k of a lane that moved once, on the bridge ``parts`` of its block.
+
+        ``bh``, ``sig`` and ``x`` are the recorded paths' b h, sigma and
+        states after the move.  The inner points step by b h / S and
+        sigma part_s from the interval's first point; the last point is x.
+        """
+        substeps = parts.shape[0]
+        self.noise[k] = parts
+        at = k * substeps
+        bh_sub = bh / substeps
+        for s in range(1, substeps):
+            self.sub[at + s] = self.sub[at + s - 1] + bh_sub + np.sum(sig * parts[s - 1], axis=1)
+        self.sub[at + substeps] = x
 
     def paths(self, times: np.ndarray, substeps: int, payoffs: np.ndarray):
         return tuple(
@@ -712,12 +759,14 @@ def _play(
 ) -> list[SimulationResult]:
     """Advance several (strat_u, strat_v) pairs together on shared draws.
 
-    Each interval draws one coin vector and each sub-step one
+    A lane moves once per interval by its exact Gaussian increment when
+    the coefficients ignore the state, else by ``substeps`` Euler
+    sub-steps.  Each interval draws one coin vector and each move one
     (paths, noise_dim) block, and every pair moves on those same draws:
     common random numbers, so each pair's result is bitwise what it gets
     when played alone on sources with the same seeds.  The loop is
-    lane-major within an interval: each lane is resolved and runs all its
-    sub-steps before the next lane is resolved, so one lane's frozen
+    lane-major within an interval: each lane is resolved and makes all its
+    moves before the next lane is resolved, so one lane's frozen
     coefficients are live at a time however many lanes a pass holds.  The
     first lane draws the noise blocks, and only when later lanes reuse them
     are they kept, so a single pair holds one block at a time.  The rule is a
@@ -725,21 +774,23 @@ def _play(
     with no coin drawn, a time-only p is compared with that interval's
     coins, and both settle one heads vector for all pairs; a
     state-dependent p is read at each pair's own states.  A lane is frozen
-    per interval as (drift step, sigma) gathered by the flat pair index
+    per interval as (b h, sigma) gathered by the flat pair index
     iu * kv + iv from one action-pair table when the coefficients ignore
     the state, else as the action vectors (U, V) that every sub-step
     evaluates the coefficients at.
 
     Each strategy makes one ``moves`` call per lane and interval, whose
     counter map answers the other side once and is dropped before the
-    sub-steps.  When both strategies of a lane are Markov tables, the
+    moves.  When both strategies of a lane are Markov tables, the
     interval's actions depend only on the node and the coin, so they are
     resolved and frozen once on a key axis of 2 * nodes entries (node j on
     tails is key j, on heads key nodes + j) and each path takes its lane by
     its key heads * nodes + node; this also range-checks every node's
     actions, not only the visited ones.  Other strategies may read ``prev``
-    and are resolved per path.  Each Euler sub-step updates the states in
-    place, as x += b h and then x += sigma dW, bitwise x + b h + sigma dW.
+    and are resolved per path.  Each move updates the states in place, as
+    x += b h and then x += sigma dW, bitwise x + b h + sigma dW.  A one-move
+    interval's audit trail splits its block by the noise source's bridge,
+    once for all lanes, on the recorded paths alone.
     """
     if spec.dim != 1:
         raise EngineError("the simulator handles state dimension 1")
@@ -779,6 +830,8 @@ def _play(
         sig_pairs = sig_tab.reshape(ku * kv, d_prime)
     else:
         au, av = spec.actions_u.array, spec.actions_v.array
+    # a state-free lane's interval move is exact, so it moves once per interval
+    n_moves = 1 if state_free else substeps
     lanes = range(len(pairs))
     # a Markov pair's key axis, as the (nodes, prev, heads) its lane resolves
     # on; None for a lane resolved per path
@@ -795,7 +848,8 @@ def _play(
 
     for k in range(n):
         t_prev = float(partition.times[k])
-        dt_sub = float(partition.steps[k]) / substeps
+        h = float(partition.steps[k])
+        dt_move = h / n_moves
         if coin_source is None:
             heads = np.full(paths, p_steps[k] == 1)
             coins = None
@@ -803,8 +857,10 @@ def _play(
             coins = coin_source.uniforms(paths)
             if p_steps is not None:
                 heads = coins < p_steps[k]
-        # the first lane draws each sub-step's noise block; later lanes reuse it
+        # the first lane draws each move's noise block and bridges it for the
+        # trails; later lanes reuse both
         dWs = []
+        parts = None
         for i, (strat_u, strat_v) in enumerate(pairs):
             prev = prevs[i]  # read first, so no older node array outlives this one
             x = xs[i]
@@ -827,7 +883,7 @@ def _play(
                 raise EngineError(f"v played an action index outside [0, {kv})")
             if state_free:
                 pair = iu * kv + iv
-                lane = (b_pairs.take(pair) * dt_sub, sig_pairs.take(pair, axis=0))
+                lane = (b_pairs.take(pair) * dt_move, sig_pairs.take(pair, axis=0))
             else:
                 lane = (au[iu], av[iv])
             if keyed:
@@ -844,19 +900,19 @@ def _play(
                 if coins is not None:
                     trail.coins[k] = coins[:record]
                 trail.second[k] = heads[:record]
-            for ss in range(substeps):
+            for ss in range(n_moves):
                 if i:
                     dW = dWs[ss]
                 else:
-                    dW = noise.increments(paths, d_prime, dt_sub)
+                    dW = noise.increments(paths, d_prime, dt_move)
                     if len(pairs) > 1:
                         dWs.append(dW)
                 if state_free:
                     bh, sig = lane
                 else:
-                    t_sub = t_prev + ss * dt_sub
+                    t_sub = t_prev + ss * dt_move
                     U, V = lane
-                    bh = spec.drift(t_sub, x[:, None], U, V)[:, 0] * dt_sub
+                    bh = spec.drift(t_sub, x[:, None], U, V)[:, 0] * dt_move
                     sig = spec.diffusion(t_sub, x[:, None], U, V)[:, 0, :]
                 if d_prime == 1:
                     # np.sum adds from the identity 0.0, which turns a -0.0
@@ -867,9 +923,13 @@ def _play(
                     np.sum(sig * dW, axis=1, out=sdw)
                 x += bh
                 x += sdw
-                if record:
+                if record and not state_free:
                     trail.sub[k * substeps + ss + 1] = x[:record]
                     trail.noise[k, ss] = dW[:record]
+            if record and state_free:
+                if parts is None:
+                    parts = noise.bridge(dW[:record], substeps, h)
+                trail.bridge(k, parts, bh[:record], sig[:record], x[:record])
             del lane, bh, sig  # this lane's frozen coefficients go before the next lane's
 
     results = []
@@ -982,7 +1042,7 @@ def exploitability(
     the coins of ``CoinSource(seed * 7000)`` and the noise of
     ``NoiseSource(seed * 9000)``.  The roster is played in one lockstep
     pass whose pairs share each draw, so each interval's coins and each
-    sub-step's noise are drawn once for the whole roster; a roster too
+    move's noise are drawn once for the whole roster; a roster too
     large for one pass is split into passes that each replay those seeds.
     Either way each challenger's mean and standard error are bitwise what a
     solo :func:`simulate` on the same seeds gives.

@@ -232,7 +232,8 @@ def cfl_max_dt(spec: ProblemSpec, grid: SpatialGrid) -> float:
     return CFL_SAFETY / denom
 
 
-def _backward_sweep(spec, grid, times, expect, p_steps, p_at, strategy_starts):
+def _backward_sweep(spec, grid, times, expect, p_steps, p_at, strategy_starts, *,
+                    track_order=False):
     """The one backward sweep of the march and the DP, over the intervals of ``times``.
 
     Interval k values each node at mix(p, lower, upper) of the local games
@@ -245,7 +246,8 @@ def _backward_sweep(spec, grid, times, expect, p_steps, p_at, strategy_starts):
     needs only :func:`local_values`.  Both solvers' weights are convex, so a
     slice outside the terminal bounds raises :class:`BlowupError`.  Returns
     the field, the rows (u_plain, u_counter, v_plain, v_counter) and the
-    largest lower - upper seen.
+    largest lower - upper seen, which is scanned for only with
+    ``track_order`` (else 0.0), as only the DP reports it.
     """
     X = grid.xs[:, None]
     n = times.size - 1
@@ -275,7 +277,7 @@ def _backward_sweep(spec, grid, times, expect, p_steps, p_at, strategy_starts):
             u_counter[r] = uc.T
             v_counter[r] = vc.T
         # max(0.0, nan) is 0.0 and NaN is never greater, so the guard keeps the value
-        if np.greater(lower, upper).any():
+        if track_order and np.greater(lower, upper).any():
             worst = max(worst, float(np.max(lower - upper)))
         p = spec.priority_values(float(p_at[k]), X) if p_steps is None else p_steps[k]
         values[k] = mix(p, lower, upper)

@@ -107,7 +107,8 @@ class ActionSet:
 # Each family also declares ``state_independent``: True when drift and
 # diffusion ignore X as well, so one action-pair table serves every state.
 # Forward play then freezes each path's coefficients per interval, reading
-# them from that table once the actions are chosen, instead of evaluating
+# them from that table once the actions are chosen, and moves each path
+# once per interval by its exact Gaussian increment instead of evaluating
 # the family at every Euler sub-step;
 # test_every_coefficient_family_state_independent_is_honest checks the
 # declaration of every registered family.

@@ -1004,7 +1004,8 @@ def test_lockstep_pass_draws_each_shared_block_once():
                          paths, substeps, noise, 0)
     assert len(plays) == 3
     assert coins.draws == part.intervals * paths
-    assert noise.draws == part.intervals * substeps * paths * prob.noise_dim
+    # the bilinear family moves once per interval, on one block for all three pairs
+    assert noise.draws == part.intervals * paths * prob.noise_dim
 
 
 def test_exploitability_draws_each_coin_and_noise_block_once(monkeypatch):
@@ -1050,19 +1051,29 @@ def _oracle_actions(strat, k, nodes, prev, opp=None):
     return plain if opp is None else counter(opp)
 
 
-def _oracle_play(spec, part, marks, strat_u, strat_v, paths, substeps, coin_seed, noise_seed):
-    """One pair played with drift and diffusion evaluated at every Euler sub-step.
+def _oracle_play(spec, part, marks, strat_u, strat_v, paths, substeps, coin_seed, noise_seed,
+                 record=None):
+    """One pair played with drift and diffusion evaluated at every move.
 
-    Returns the payoffs, the sub-step states (one row per Euler point) and
-    the noise blocks (one per sub-step).
+    A state-free family moves once per interval by its exact Gaussian
+    increment; its trail is that increment split by a Brownian bridge on
+    standard normals from ``default_rng([noise_seed, 1])``, with inner points
+    by the Euler recursion on the parts and the path's own state at the end.
+    A state-dependent family takes ``substeps`` Euler sub-steps.  Returns the
+    payoffs and, for the first ``record`` paths (all by default), the sub-step
+    states (one row per Euler point) and the noise blocks (one per sub-step).
     """
+    record = paths if record is None else record
     coins, noise = CoinSource(coin_seed), NoiseSource(noise_seed)
+    bridge = np.random.default_rng([noise_seed, 1])
+    one_move = spec.coefficients.state_independent
     x = np.full(paths, spec.start_state[0])
-    states, blocks = [x], []
+    states, blocks = [x[:record]], []
     prev = None
     for k in range(part.intervals):
         t_prev = float(part.times[k])
-        dt_sub = float(part.steps[k]) / substeps
+        h = float(part.steps[k])
+        dt_sub = h / substeps
         nodes = strat_u.grid.nearest_index(x)
         if marks is None:
             heads = coins.uniforms(paths) < spec.priority_values(t_prev, x[:, None])
@@ -1075,22 +1086,38 @@ def _oracle_play(spec, part, marks, strat_u, strat_v, paths, substeps, coin_seed
         U = spec.actions_u.array[np.where(heads, u_plain, u_resp)]
         V = spec.actions_v.array[np.where(heads, v_resp, v_plain)]
         prev = nodes
+        if one_move:
+            dW = noise.increments(paths, spec.noise_dim, h)
+            b = spec.drift(t_prev, x[:, None], U, V)[:, 0]
+            sig = spec.diffusion(t_prev, x[:, None], U, V)[:, 0, :]
+            z = bridge.standard_normal((substeps, record, spec.noise_dim))
+            parts = dW[:record] / substeps + np.sqrt(h / substeps) * (z - z.mean(axis=0))
+            inner = x[:record]
+            for part_s in parts[:-1]:
+                inner = inner + b[:record] * h / substeps + np.sum(sig[:record] * part_s, axis=1)
+                states.append(inner)
+            x = x + b * h + np.sum(sig * dW, axis=1)
+            states.append(x[:record])
+            blocks.extend(parts)
+            continue
         for ss in range(substeps):
             t_sub = t_prev + ss * dt_sub
             dW = noise.increments(paths, spec.noise_dim, dt_sub)
             b = spec.drift(t_sub, x[:, None], U, V)[:, 0]
             sig = spec.diffusion(t_sub, x[:, None], U, V)[:, 0, :]
             x = x + b * dt_sub + np.sum(sig * dW, axis=1)
-            states.append(x)
-            blocks.append(dW)
+            states.append(x[:record])
+            blocks.append(dW[:record])
     return spec.payoff_values(x[:, None]), np.array(states), np.array(blocks)
 
 
 # (family, noise columns, u actions); bilinear is the family whose drift moves with
-# the actions, so its 3 x 2 case checks the iu * kv + iv layout of the pair table
+# the actions, so its 3 x 2 case checks the iu * kv + iv layout of the pair table.
+# affine is the state-dependent family, so its cases certify the Euler sub-steps
 PLAY_PROBLEMS = {
     "constant": ("constant", None, (-1.0, 1.0)),
     "affine": ("affine", None, (-1.0, 1.0)),
+    "affine_3x2": ("affine", None, (-1.0, 0.0, 1.0)),
     "bilinear": ("bilinear", None, (-1.0, 1.0)),
     "bilinear_d3": ("bilinear", 3, (-1.0, 1.0)),
     "bilinear_3x2": ("bilinear", None, (-1.0, 0.0, 1.0)),
@@ -1117,7 +1144,8 @@ def test_play_matches_per_substep_oracle_bitwise(case, rule):
     paths, substeps, record = 300, 3, 5
     mode = DeterministicMode(marks) if marks else RandomMode(CoinSource(4))
     play = simulate(prob, part, mode, su, sv, paths, substeps, NoiseSource(5), record=record)
-    payoffs, states, blocks = _oracle_play(prob, part, marks, su, sv, paths, substeps, 4, 5)
+    payoffs, states, blocks = _oracle_play(prob, part, marks, su, sv, paths, substeps, 4, 5,
+                                           record)
     assert play.payoffs.tobytes() == payoffs.tobytes()
     noise_shape = (part.intervals, substeps, prob.noise_dim)
     for i, rec in enumerate(play.records):
@@ -1139,6 +1167,74 @@ def test_play_matches_per_substep_oracle_bitwise(case, rule):
                                    roster_seed * 7000, roster_seed * 9000)[0]
             assert got.mean == float(payoffs.mean())
             assert got.std_error == float(payoffs.std(ddof=1) / np.sqrt(paths))
+
+
+@pytest.mark.parametrize("case", ["constant", "bilinear"])
+def test_state_free_play_ignores_substeps_and_record(case):
+    # a state-free family moves once per interval by its exact increment, so
+    # sub-steps refine only the audit trail, and recording draws nothing
+    # from the main stream
+    coef, noise_dim, u_values = PLAY_PROBLEMS[case]
+    prob = _lattice_problem(coef, u_values, noise_dim=noise_dim)
+    grid = SpatialGrid(-6.0, 6.0, 121)
+    part = Partition(np.array([0.0, 0.05, 0.12, 0.3, 0.5]))
+    tables = dp_value_random(prob, part, build_lattice(prob, grid, part))
+    paths = 300
+
+    def play(substeps, record):
+        return simulate(prob, part, RandomMode(CoinSource(4)), tables.strategy_u,
+                        tables.strategy_v, paths, substeps, NoiseSource(5), record=record)
+
+    base = play(1, 0).payoffs
+    ends = None
+    for substeps in (1, 3, 4):
+        for record in (0, 5):
+            res = play(substeps, record)
+            assert res.payoffs.tobytes() == base.tobytes()
+            if not record:
+                continue
+            # every decision-time state is the path's own, whatever the trail's refinement
+            states = np.array([rec.states for rec in res.records])
+            ends = states if ends is None else ends
+            assert states.tobytes() == ends.tobytes()
+            last = prob.payoff_values(states[:, -1:])
+            assert last.tobytes() == base[:record].tobytes()
+            for rec in res.records:
+                assert rec.noise.shape == (part.intervals, substeps, prob.noise_dim)
+
+
+def test_bridge_parts_sum_to_the_increment_and_spare_the_main_stream():
+    h, substeps, rows = 0.3, 5, 200_000
+    src = NoiseSource(3)
+    dW = src.increments(rows, 2, h)
+    parts = src.bridge(dW, substeps, h)
+    assert parts.shape == (substeps, rows, 2)
+    assert np.max(np.abs(parts.sum(axis=0) - dW)) <= 1e-14
+    assert src.bridge(dW, 1, h)[0].tobytes() == dW.tobytes()
+    # the bridge has its own generator: the main stream goes on as if unbridged
+    assert src.draws == rows * 2
+    fresh = NoiseSource(3)
+    fresh.increments(rows, 2, h)
+    assert src.increments(7, 2, h).tobytes() == fresh.increments(7, 2, h).tobytes()
+    # unconditionally the parts are independent N(0, h / S) increments
+    flat = parts[:, :, 0]
+    assert np.all(np.abs(flat.var(axis=1) / (h / substeps) - 1.0) < 0.02)
+    assert abs(float(np.corrcoef(flat[0], flat[1])[0, 1])) < 0.01
+
+
+def test_benchmark_game_play_matches_the_exact_frozen_action_value():
+    # dX = 4 u v dt + sqrt(2) dW, p = 0.5, x0 = 0 on 641 x 100: with exact
+    # increments and frozen actions the game's value is e^-T cos(kappa T / n)^n,
+    # and the saddle tables miss it by at most kappa dx T from their node snapping
+    prob = bilinear_problem()
+    grid = SpatialGrid(-8.0, 8.0, 641)
+    n = 100
+    part = make_uniform_partition(0.0, prob.horizon, n)
+    tables = dp_value_random(prob, part, build_lattice(prob, grid, part))
+    res = simulate(prob, part, RandomMode(CoinSource(11)), tables.strategy_u,
+                   tables.strategy_v, 100_000, 4, NoiseSource(12))
+    exact = np.exp(-prob.horizon) * np.cos(4.0 * prob.horizon / n) ** n
+    assert abs(res.mean - exact) <= 4.0 * res.std_error + 4.0 * grid.dx * prob.horizon
 
 
 @pytest.mark.parametrize("sigma", [0.0, -0.0])
@@ -1263,9 +1359,15 @@ def test_negative_seeds_raise_engine_errors_naming_the_seed():
 def _replay_path(spec, part, marks, strat_u, strat_v, rec):
     """One recorded path replayed alone from its coins and noise.
 
-    Returns its u and v actions, who moved second, and its sub-step states.
+    A state-dependent family's Euler sub-steps replay bitwise.  A state-free
+    family moved once per interval, so its record holds that move's
+    increment split by a bridge: the replay steps b h / S and sigma part_s,
+    the parts must reach the recorded end state within rounding, and the
+    replay goes on from that state.  Returns its u and v actions, who moved
+    second, and its sub-step states.
     """
     substeps = rec.noise.shape[1]
+    one_move = spec.coefficients.state_independent
     x = np.full(1, spec.start_state[0])
     us, vs, second, states = [], [], [], [x]
     prev = None
@@ -1288,8 +1390,13 @@ def _replay_path(spec, part, marks, strat_u, strat_v, rec):
             dW = rec.noise[k, ss][None, :]
             b = spec.drift(t_sub, x[:, None], U, V)[:, 0]
             sig = spec.diffusion(t_sub, x[:, None], U, V)[:, 0, :]
-            x = x + b * dt_sub + np.sum(sig * dW, axis=1)
+            step = b * float(part.steps[k]) / substeps if one_move else b * dt_sub
+            x = x + step + np.sum(sig * dW, axis=1)
             states.append(x)
+        if one_move:
+            assert abs(x[0] - rec.states[k + 1]) <= 1e-12
+            x = rec.states[k + 1:k + 2]
+            states[-1] = x
         us.append(iu[0])
         vs.append(iv[0])
         second.append(heads[0])

@@ -16,18 +16,22 @@ seconds of the call alone; with no layer named, all four run.
   both run the same backward sweep.  Building the lattice and the marks is
   not timed.
 - play: on the random-rule DP at 641 nodes x 100 intervals, simulate of the
-  saddle strategies with 100k paths x 4 Euler sub-steps; the same with the
-  drift swapped for the state-dependent affine family b = -x, which
-  evaluates its coefficients at every sub-step; the same with the priority
-  swapped for the logistic p(x) = 1/(1 + e^-x), which reads p at every
-  path's state (no per-interval table), with the saddle strategies of the
-  benchmark game; and exploitability for each frozen side, 16 challengers
-  x 20k paths x 4 sub-steps.  Each exploitability row also gives the peak
-  resident set (VmHWM, Linux) of a fresh subprocess that sets up the same
-  inputs and makes the call once, with its peak after set-up alone, the
-  Gaussian noise draws the call makes, and the md5 of its roster's
-  (label, mean.hex(), std_error.hex()) rows: equal digests in two
-  checkouts mean every challenger's mean and SE agree bitwise.
+  saddle strategies with 100k paths and substeps = 4, which the benchmark
+  game's state-free coefficients leave at one exact move per interval; the
+  same with the drift swapped for the state-dependent affine family
+  b = -x, which takes 4 Euler sub-steps and evaluates its coefficients at
+  each; the same with the priority swapped for the logistic
+  p(x) = 1/(1 + e^-x), which reads p at every path's state (no
+  per-interval table), with the saddle strategies of the benchmark game;
+  and exploitability for each frozen side, 16 challengers x 20k paths
+  with substeps = 4.  Each simulate row also gives the Gaussian noise
+  draws of one call and the md5 of its payoff bytes: equal digests in two
+  checkouts mean bitwise-equal payoffs.  Each exploitability row also
+  gives the peak resident set (VmHWM, Linux) of a fresh subprocess that
+  sets up the same inputs and makes the call once, with its peak after
+  set-up alone, the Gaussian noise draws the call makes, and the md5 of
+  its roster's (label, mean.hex(), std_error.hex()) rows: equal digests in
+  two checkouts mean every challenger's mean and SE agree bitwise.
 - import: R fresh interpreters, each importing numpy and then isaacslab.cli
   with BLAS on one thread, as `bench/run.py --setup-only` does inside
   setup_s; the CPU of the whole interpreter (user + system, from the
@@ -163,16 +167,22 @@ def time_play(spec, repeats: int) -> None:
         coefficients=CoefficientSpec("affine", (0.0, -1.0, np.sqrt(2.0)), dim=1, noise_dim=1),
     )
     logistic = dataclasses.replace(spec, priority=PrioritySpec("logistic", (0.0, 0.0, 1.0), dim=1))
-    calls = {
-        f"simulate 100k{label}": lambda game=game: engine.simulate(
-            game, part, engine.RandomMode(engine.CoinSource(1)), tables.strategy_u,
-            tables.strategy_v, 100_000, 4, engine.NoiseSource(0),
-        )
-        for label, game in (("", spec), (" affine", affine), (" logistic", logistic))
-    }
     print("641 nodes x 100 intervals, median CPU s over", repeats, "runs")
-    for name, call in calls.items():
-        print(f"{name:26s} {median_cpu(call, repeats):8.3f}")
+    print(f"{'':26s} {'CPU s':>8s} {'noise draws':>12s} {'payoff md5':>32s}")
+    for label, game in (("", spec), (" affine", affine), (" logistic", logistic)):
+        runs = []
+
+        def call(game=game):
+            noise = engine.NoiseSource(0)
+            runs.append((noise, engine.simulate(
+                game, part, engine.RandomMode(engine.CoinSource(1)), tables.strategy_u,
+                tables.strategy_v, 100_000, 4, noise,
+            )))
+
+        cpu = median_cpu(call, repeats)
+        noise, result = runs[-1]
+        digest = hashlib.md5(result.payoffs.tobytes()).hexdigest()
+        print(f"{f'simulate 100k{label}':26s} {cpu:8.3f} {noise.draws:12d} {digest}")
     print(f"{'':26s} {'CPU s':>8s} {'setup MB':>9s} {'peak MB':>8s} {'noise draws':>12s} "
           f"{'roster md5':>32s}")
     for side in ("u", "v"):
