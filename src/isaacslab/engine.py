@@ -31,13 +31,15 @@ priority decides which one it plays.  A pair of
 Markov tables plays by node and coin alone, so its interval is resolved
 once per (coin face, node) key, 2 * nodes of them, and each path reads its
 frozen lane by key; strategies that remember the previous node are
-resolved per path.  When the coefficient family ignores the state, the
-coefficients are frozen with the actions: each b h and sigma is read once
-per interval from the action-pair table, and each path moves once per
-interval by its exact Gaussian increment, in place; a state-dependent
-family takes Euler sub-steps.  Coins and Gaussian increments come from
-separate seeded streams, and one coin per interval is always consumed, so
-trajectories under different priorities are driven by identical noise.
+resolved per path.  The coefficients are frozen with the actions, and
+every coefficient family's one-interval law is then Gaussian and known,
+X' = a X + c b0 + s sigma dW (an Ornstein-Uhlenbeck step for the affine
+family, X + b h + sigma dW when a = 1): each c b0 and s sigma is read once
+per interval from the action-pair table at X = 0, and each path moves
+once per interval by that law, in place.  Coins and Gaussian increments
+come from separate seeded streams, and one coin per interval is always
+consumed, so trajectories under different priorities are driven by
+identical noise.
 Several strategy pairs can advance in lockstep on one stream of coins and
 noise (common random numbers): the exploitability roster is played that
 way, in one pass that draws each coin and noise block once for every
@@ -121,12 +123,12 @@ class _SeededStream:
 class NoiseSource(_SeededStream):
     """Seeded stream of Gaussian increments for forward play.
 
-    Draw order is fixed (one (paths, noise_dim) block per move: per
-    interval when the coefficients ignore the state, else per Euler
-    sub-step), so two runs with equal seeds and equal shapes see identical
-    noise.  ``draws`` counts that stream alone.  ``bridge`` splits
-    increments for an audit trail with a second generator derived from the
-    seed, so recording paths never shifts the main stream.
+    Draw order is fixed (one (paths, noise_dim) block per interval, the
+    increment of its one move), so two runs with equal seeds and equal
+    shapes see identical noise.  ``draws`` counts that stream alone.
+    ``bridge`` splits increments for an audit trail with a second
+    generator derived from the seed, so recording paths never shifts the
+    main stream.
     """
 
     def __init__(self, seed: int):
@@ -617,16 +619,16 @@ class RandomMode:
 class PathRecord:
     """Full audit trail of one simulated path.
 
-    ``substep_states`` holds every Euler point, ``states`` the decision-time
-    states (every ``substeps``-th Euler point), and ``noise`` the Gaussian
-    increments, shape (intervals, substeps, noise_dim), so the recursion
-    X_next = X + b dt + sigma dW can be replayed.  A state-dependent family
-    moves by exactly that recursion, so it replays bitwise.  A state-free
-    family moves once per interval by its exact Gaussian increment; its
-    ``noise`` is that increment split by a Brownian bridge, its inner points
-    are the recursion on the parts, and each decision-time state is the
-    path's own, so a replay agrees within rounding.
-    ``who_second[k]`` is True when v saw u in interval k.
+    A path moves once per interval by its family's exact law
+    X' = a X + c b0 + s sigma dW.  ``noise`` is that move's increment dW
+    split by a Brownian bridge into ``substeps`` parts, shape (intervals,
+    substeps, noise_dim).  ``substep_states`` holds the trail's points:
+    from an interval's first point X the inner points step by
+    ((a - 1) X + c b0) / substeps plus s sigma times each part, and the
+    last point is the path's own state, which the steps reach within
+    rounding.  ``states`` are the decision-time states (every
+    ``substeps``-th point).  ``who_second[k]`` is True when v saw u in
+    interval k.
     """
 
     times: np.ndarray
@@ -676,15 +678,16 @@ def simulate(
     path, so a table is range-checked at every node, visited or not, with
     ``prev`` as ``None``.  A time-only priority is tabulated once over the
     interval starts, and each coin is compared with that interval's float.
-    For a state-independent coefficient family the state over an interval
-    of length h is exactly X + b h + sigma dW with dW ~ N(0, h), so each
-    path's b h and sigma are gathered once per interval from the
-    action-pair table and the path moves once, on one noise block per
-    interval; ``substeps`` then only refines the audit trail, and the
-    payoffs do not depend on it.  A state-dependent family takes
-    ``substeps`` Euler sub-steps per interval, evaluating the coefficients
-    at each.  The first ``record`` paths keep a full audit trail
-    (:class:`PathRecord`), which never changes the payoffs.
+    With frozen actions the state over an interval of length h is exactly
+    a X + c b0 + s sigma dW with dW ~ N(0, h), the family's interval law
+    (for the affine family an Ornstein-Uhlenbeck step), so each path's
+    c b0 and s sigma are gathered once per interval from the action-pair
+    table at X = 0 and the path moves once, on one noise block per
+    interval.  ``substeps`` only refines the audit trail, and the payoffs
+    do not depend on it.  A law that is not finite (e^{c1 h} overflows)
+    raises :class:`EngineError` naming the interval.  The first ``record``
+    paths keep a full audit trail (:class:`PathRecord`), which never
+    changes the payoffs.
     """
     return _play(spec, partition, mode, [(strat_u, strat_v)], paths, substeps, noise, record)[0]
 
@@ -702,20 +705,23 @@ class _Trail:
         self.second = np.empty((n, record), dtype=bool)
         self.noise = np.empty((n, substeps, record, d_prime))
 
-    def bridge(self, k: int, parts: np.ndarray, bh: np.ndarray, sig: np.ndarray,
+    def bridge(self, k: int, parts: np.ndarray, a: float, cb: np.ndarray, sig: np.ndarray,
                x: np.ndarray) -> None:
-        """Record interval k of a lane that moved once, on the bridge ``parts`` of its block.
+        """Record interval k of a lane, on the bridge ``parts`` of its block.
 
-        ``bh``, ``sig`` and ``x`` are the recorded paths' b h, sigma and
-        states after the move.  The inner points step by b h / S and
-        sigma part_s from the interval's first point; the last point is x.
+        ``cb``, ``sig`` and ``x`` are the recorded paths' c b0, s sigma and
+        states after the move, ``a`` the law's state factor.  From the
+        interval's first point X the inner points step by
+        ((a - 1) X + c b0) / S and s sigma part_s; the last point is x.
         """
         substeps = parts.shape[0]
         self.noise[k] = parts
         at = k * substeps
-        bh_sub = bh / substeps
+        if a != 1.0:
+            cb = cb + (a - 1.0) * self.sub[at]
+        cb_sub = cb / substeps
         for s in range(1, substeps):
-            self.sub[at + s] = self.sub[at + s - 1] + bh_sub + np.sum(sig * parts[s - 1], axis=1)
+            self.sub[at + s] = self.sub[at + s - 1] + cb_sub + np.sum(sig * parts[s - 1], axis=1)
         self.sub[at + substeps] = x
 
     def paths(self, times: np.ndarray, substeps: int, payoffs: np.ndarray):
@@ -759,38 +765,34 @@ def _play(
 ) -> list[SimulationResult]:
     """Advance several (strat_u, strat_v) pairs together on shared draws.
 
-    A lane moves once per interval by its exact Gaussian increment when
-    the coefficients ignore the state, else by ``substeps`` Euler
-    sub-steps.  Each interval draws one coin vector and each move one
-    (paths, noise_dim) block, and every pair moves on those same draws:
+    Every lane moves once per interval by the family's interval law
+    X' = a X + c b0 + s sigma dW.  Each interval draws one coin vector and
+    one (paths, noise_dim) block, and every pair moves on those same draws:
     common random numbers, so each pair's result is bitwise what it gets
     when played alone on sources with the same seeds.  The loop is
-    lane-major within an interval: each lane is resolved and makes all its
-    moves before the next lane is resolved, so one lane's frozen
-    coefficients are live at a time however many lanes a pass holds.  The
-    first lane draws the noise blocks, and only when later lanes reuse them
-    are they kept, so a single pair holds one block at a time.  The rule is a
-    priority per interval: a mark is 1 or 0 and sets heads on every path
-    with no coin drawn, a time-only p is compared with that interval's
-    coins, and both settle one heads vector for all pairs; a
-    state-dependent p is read at each pair's own states.  A lane is frozen
-    per interval as (b h, sigma) gathered by the flat pair index
-    iu * kv + iv from one action-pair table when the coefficients ignore
-    the state, else as the action vectors (U, V) that every sub-step
-    evaluates the coefficients at.
+    lane-major within an interval: each lane is resolved and moves before
+    the next lane is resolved, so one lane's frozen coefficients are live
+    at a time however many lanes a pass holds.  The rule is a priority per
+    interval: a mark is 1 or 0 and sets heads on every path with no coin
+    drawn, a time-only p is compared with that interval's coins, and both
+    settle one heads vector for all pairs; a state-dependent p is read at
+    each pair's own states.  A lane is frozen per interval as (c b0,
+    s sigma) gathered by the flat pair index iu * kv + iv from the
+    action-pair table at X = 0, scaled once per interval by the law.
 
     Each strategy makes one ``moves`` call per lane and interval, whose
     counter map answers the other side once and is dropped before the
-    moves.  When both strategies of a lane are Markov tables, the
+    move.  When both strategies of a lane are Markov tables, the
     interval's actions depend only on the node and the coin, so they are
     resolved and frozen once on a key axis of 2 * nodes entries (node j on
     tails is key j, on heads key nodes + j) and each path takes its lane by
     its key heads * nodes + node; this also range-checks every node's
     actions, not only the visited ones.  Other strategies may read ``prev``
     and are resolved per path.  Each move updates the states in place, as
-    x += b h and then x += sigma dW, bitwise x + b h + sigma dW.  A one-move
-    interval's audit trail splits its block by the noise source's bridge,
-    once for all lanes, on the recorded paths alone.
+    x *= a (skipped when a = 1), x += c b0 and then x += s sigma dW, so a
+    state-free family moves bitwise by x + b h + sigma dW.  The audit trail
+    splits the block by the noise source's bridge, once for all lanes, on
+    the recorded paths alone.
     """
     if spec.dim != 1:
         raise EngineError("the simulator handles state dimension 1")
@@ -822,16 +824,11 @@ def _play(
     n = partition.intervals
     d_prime = spec.noise_dim
     ku, kv = spec.actions_u.size, spec.actions_v.size
-    state_free = spec.coefficients.state_independent
-    if state_free:
-        # the family ignores t and X: one row per action pair, laid out iu * kv + iv
-        b_tab, sig_tab = spec.coefficient_table(float(partition.times[0]), np.zeros((1, spec.dim)))
-        b_pairs = b_tab.reshape(ku * kv)
-        sig_pairs = sig_tab.reshape(ku * kv, d_prime)
-    else:
-        au, av = spec.actions_u.array, spec.actions_v.array
-    # a state-free lane's interval move is exact, so it moves once per interval
-    n_moves = 1 if state_free else substeps
+    # the families ignore t, and the law reads them at X = 0: one row per
+    # action pair, laid out iu * kv + iv
+    b_tab, sig_tab = spec.coefficient_table(float(partition.times[0]), np.zeros((1, spec.dim)))
+    b_pairs = b_tab.reshape(ku * kv)
+    sig_pairs = sig_tab.reshape(ku * kv, d_prime)
     lanes = range(len(pairs))
     # a Markov pair's key axis, as the (nodes, prev, heads) its lane resolves
     # on; None for a lane resolved per path
@@ -847,9 +844,13 @@ def _play(
     sdw = np.empty(paths)
 
     for k in range(n):
-        t_prev = float(partition.times[k])
         h = float(partition.steps[k])
-        dt_move = h / n_moves
+        a, c, s = spec.coefficients.interval_law(h)
+        if not np.isfinite((a, c, s)).all():
+            raise EngineError(
+                f"interval {k}: the one-interval law (a, c, s) = ({a}, {c}, {s}) is not finite"
+            )
+        b_law, sig_law = b_pairs * c, sig_pairs * s
         if coin_source is None:
             heads = np.full(paths, p_steps[k] == 1)
             coins = None
@@ -857,16 +858,14 @@ def _play(
             coins = coin_source.uniforms(paths)
             if p_steps is not None:
                 heads = coins < p_steps[k]
-        # the first lane draws each move's noise block and bridges it for the
-        # trails; later lanes reuse both
-        dWs = []
-        parts = None
+        dW = noise.increments(paths, d_prime, h)
+        parts = noise.bridge(dW[:record], substeps, h) if record else None
         for i, (strat_u, strat_v) in enumerate(pairs):
             prev = prevs[i]  # read first, so no older node array outlives this one
             x = xs[i]
             nodes = strat_u.grid.nearest_index(x)
             if p_steps is None:
-                heads = coins < spec.priority_values(t_prev, x[:, None])
+                heads = coins < spec.priority_values(float(partition.times[k]), x[:, None])
             keyed = key_axes[i] is not None
             at, at_prev, at_heads = key_axes[i] if keyed else (nodes, prev, heads)
             u_plain, u_counter = strat_u.moves(k, at, at_prev)
@@ -881,17 +880,25 @@ def _play(
                 raise EngineError(f"u played an action index outside [0, {ku})")
             if iv.min() < 0 or iv.max() >= kv:
                 raise EngineError(f"v played an action index outside [0, {kv})")
-            if state_free:
-                pair = iu * kv + iv
-                lane = (b_pairs.take(pair) * dt_move, sig_pairs.take(pair, axis=0))
-            else:
-                lane = (au[iu], av[iv])
+            pair = iu * kv + iv
+            cb, sig = b_law.take(pair), sig_law.take(pair, axis=0)
             if keyed:
                 # each path reads the key of its coin face and node
                 key = heads * strat_u.grid.nodes
                 key += nodes
-                lane = tuple(a.take(key, axis=0) for a in lane)
+                cb, sig = cb.take(key), sig.take(key, axis=0)
             prevs[i] = None if keyed else nodes
+            if d_prime == 1:
+                # np.sum adds from the identity 0.0, which turns a -0.0
+                # product into +0.0; the column plus 0.0 keeps those bits
+                np.multiply(sig[:, 0], dW[:, 0], out=sdw)
+                sdw += 0.0
+            else:
+                np.sum(sig * dW, axis=1, out=sdw)
+            if a != 1.0:
+                x *= a
+            x += cb
+            x += sdw
             if record:
                 trail = trails[i]
                 rows = key[:record] if keyed else slice(record)
@@ -900,37 +907,8 @@ def _play(
                 if coins is not None:
                     trail.coins[k] = coins[:record]
                 trail.second[k] = heads[:record]
-            for ss in range(n_moves):
-                if i:
-                    dW = dWs[ss]
-                else:
-                    dW = noise.increments(paths, d_prime, dt_move)
-                    if len(pairs) > 1:
-                        dWs.append(dW)
-                if state_free:
-                    bh, sig = lane
-                else:
-                    t_sub = t_prev + ss * dt_move
-                    U, V = lane
-                    bh = spec.drift(t_sub, x[:, None], U, V)[:, 0] * dt_move
-                    sig = spec.diffusion(t_sub, x[:, None], U, V)[:, 0, :]
-                if d_prime == 1:
-                    # np.sum adds from the identity 0.0, which turns a -0.0
-                    # product into +0.0; the column plus 0.0 keeps those bits
-                    np.multiply(sig[:, 0], dW[:, 0], out=sdw)
-                    sdw += 0.0
-                else:
-                    np.sum(sig * dW, axis=1, out=sdw)
-                x += bh
-                x += sdw
-                if record and not state_free:
-                    trail.sub[k * substeps + ss + 1] = x[:record]
-                    trail.noise[k, ss] = dW[:record]
-            if record and state_free:
-                if parts is None:
-                    parts = noise.bridge(dW[:record], substeps, h)
-                trail.bridge(k, parts, bh[:record], sig[:record], x[:record])
-            del lane, bh, sig  # this lane's frozen coefficients go before the next lane's
+                trail.bridge(k, parts, a, cb[:record], sig[:record], x[:record])
+            del cb, sig  # this lane's frozen coefficients go before the next lane's
 
     results = []
     for i in lanes:
@@ -1041,8 +1019,8 @@ def exploitability(
     challenger plays the same number of paths on common random numbers:
     the coins of ``CoinSource(seed * 7000)`` and the noise of
     ``NoiseSource(seed * 9000)``.  The roster is played in one lockstep
-    pass whose pairs share each draw, so each interval's coins and each
-    move's noise are drawn once for the whole roster; a roster too
+    pass whose pairs share each draw, so each interval's coins and noise
+    block are drawn once for the whole roster; a roster too
     large for one pass is split into passes that each replay those seeds.
     Either way each challenger's mean and standard error are bitwise what a
     solo :func:`simulate` on the same seeds gives.

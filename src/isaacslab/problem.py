@@ -104,25 +104,25 @@ class ActionSet:
 # family whose coefficients moved with t would be solved wrongly;
 # test_every_coefficient_family_ignores_time checks every registered family.
 #
-# Each family also declares ``state_independent``: True when drift and
-# diffusion ignore X as well, so one action-pair table serves every state.
-# Forward play then freezes each path's coefficients per interval, reading
-# them from that table once the actions are chosen, and moves each path
-# once per interval by its exact Gaussian increment instead of evaluating
-# the family at every Euler sub-step;
-# test_every_coefficient_family_state_independent_is_honest checks the
-# declaration of every registered family.
+# Each family also declares ``interval_law(params, d, d_prime, h)``, the
+# (a, c, s) of its exact move over an interval of length h with frozen
+# actions, X' = a X + c b0 + s sigma dW with dW ~ N(0, h) and b0, sigma at
+# X = 0 (Glasserman, 2004, section 3.3).  Forward play moves by it, and
+# test_every_coefficient_family_interval_law_is_honest checks every family.
 
 
 class _ConstantCoefficients:
     """b and sigma constant in (t, x, u, v): params = [b (d), sigma rows (d*d')]"""
 
     name = "constant"
-    state_independent = True
 
     @staticmethod
     def param_count(d: int, d_prime: int) -> int:
         return d + d * d_prime
+
+    @staticmethod
+    def interval_law(params, d, d_prime, h):
+        return 1.0, h, 1.0
 
     @staticmethod
     def split(params: np.ndarray, d: int, d_prime: int):
@@ -155,7 +155,6 @@ class _AffineCoefficients:
     """
 
     name = "affine"
-    state_independent = False
 
     @staticmethod
     def param_count(d: int, d_prime: int) -> int:
@@ -164,6 +163,19 @@ class _AffineCoefficients:
     @staticmethod
     def split(params: np.ndarray, d: int, d_prime: int):
         return params[:d], params[d : 2 * d], params[2 * d :].reshape(d, d_prime)
+
+    @staticmethod
+    def interval_law(params, d, d_prime, h):
+        """The Ornstein-Uhlenbeck step for d = 1; an overflow gives inf, which callers reject."""
+        if d != 1:
+            raise ProblemError("the affine interval law is for state dimension 1")
+        c1 = float(params[1])
+        ch = c1 * h
+        if ch == 0.0:
+            return 1.0, h, 1.0
+        with np.errstate(over="ignore"):
+            a, em1, em2 = np.exp(ch), np.expm1(ch), np.expm1(2.0 * ch)
+        return float(a), float(em1 / c1), float(np.sqrt(em2 / (2.0 * ch)))
 
     @classmethod
     def drift(cls, params, d, d_prime, t, X, U, V):
@@ -196,11 +208,14 @@ class _BilinearCoefficients:
     """
 
     name = "bilinear"
-    state_independent = True
 
     @staticmethod
     def param_count(d: int, d_prime: int) -> int:
         return 2
+
+    @staticmethod
+    def interval_law(params, d, d_prime, h):
+        return 1.0, h, 1.0
 
     @classmethod
     def drift(cls, params, d, d_prime, t, X, U, V):
@@ -268,10 +283,12 @@ class CoefficientSpec:
     def _fam(self):
         return _COEFFICIENT_FAMILIES[self.family]
 
-    @property
-    def state_independent(self) -> bool:
-        """True when the family's drift and diffusion ignore the state X."""
-        return self._fam.state_independent
+    def interval_law(self, h: float) -> tuple[float, float, float]:
+        """(a, c, s) of the frozen-action move X' = a X + c b0 + s sigma dW, dW ~ N(0, h).
+
+        b0 and sigma are taken at X = 0; a family that ignores X has (1, h, 1).
+        """
+        return self._fam.interval_law(np.asarray(self.params), self.dim, self.noise_dim, h)
 
     def drift(self, t: float, X: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         return self._fam.drift(

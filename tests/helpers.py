@@ -59,3 +59,32 @@ def one_sided_chains(spec, partition, lattice):
     lower = dp_value_deterministic(spec, partition, MarkSequence((1,) * n), whole, lattice)
     upper = dp_value_deterministic(spec, partition, MarkSequence((0,) * n), whole, lattice)
     return lower.value.values, upper.value.values
+
+
+OU = dict(c0=0.2, c1=-1.0, sigma=1.0, horizon=0.5)
+
+
+def ou_problem():
+    """dX = (c0 + c1 X) dt + sigma dW with g = cos x: the actions move nothing."""
+    return ProblemSpec(
+        coefficients=CoefficientSpec(
+            "affine", (OU["c0"], OU["c1"], OU["sigma"]), dim=1, noise_dim=1
+        ),
+        payoff=PayoffSpec("cosine", (1.0, 1.0), dim=1),
+        priority=PrioritySpec("constant", (0.5,), dim=1),
+        actions_u=ActionSet.from_values((-1.0, 1.0)),
+        actions_v=ActionSet.from_values((-1.0, 1.0)),
+        horizon=OU["horizon"],
+    )
+
+
+def ou_value(tau, x):
+    """E cos X_T from X = x, tau before T: e^{-s^2/2} cos m for the Gaussian law N(m, s^2).
+
+    m = e^{c1 tau} x + c0 (e^{c1 tau} - 1) / c1 and
+    s^2 = sigma^2 (e^{2 c1 tau} - 1) / (2 c1).
+    """
+    c0, c1, sigma = OU["c0"], OU["c1"], OU["sigma"]
+    m = np.exp(c1 * tau) * np.asarray(x, dtype=float) + c0 * np.expm1(c1 * tau) / c1
+    s2 = sigma**2 * np.expm1(2.0 * c1 * tau) / (2.0 * c1)
+    return np.exp(-s2 / 2.0) * np.cos(m)

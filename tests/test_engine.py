@@ -4,7 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import SQRT2, bilinear_problem, one_sided_chains, singleton_problem
+from helpers import (
+    SQRT2,
+    bilinear_problem,
+    one_sided_chains,
+    ou_problem,
+    ou_value,
+    singleton_problem,
+)
 from isaacslab import engine, pde
 from isaacslab.engine import (
     CoinSource,
@@ -1053,27 +1060,27 @@ def _oracle_actions(strat, k, nodes, prev, opp=None):
 
 def _oracle_play(spec, part, marks, strat_u, strat_v, paths, substeps, coin_seed, noise_seed,
                  record=None):
-    """One pair played with drift and diffusion evaluated at every move.
+    """One pair played with drift and diffusion evaluated on every interval.
 
-    A state-free family moves once per interval by its exact Gaussian
-    increment; its trail is that increment split by a Brownian bridge on
-    standard normals from ``default_rng([noise_seed, 1])``, with inner points
-    by the Euler recursion on the parts and the path's own state at the end.
-    A state-dependent family takes ``substeps`` Euler sub-steps.  Returns the
-    payoffs and, for the first ``record`` paths (all by default), the sub-step
-    states (one row per Euler point) and the noise blocks (one per sub-step).
+    Each path moves once per interval by the family's interval law
+    X' = a X + c b0 + s sigma dW, with b0 and sigma evaluated at X = 0 for
+    the chosen actions.  The trail splits dW by a Brownian bridge on standard
+    normals from ``default_rng([noise_seed, 1])``; its inner points step by
+    ((a - 1) X + c b0) / S and s sigma part_s from the interval's first point
+    X, and it ends on the path's own state.  Returns the payoffs and, for the
+    first ``record`` paths (all by default), the trail's states (one row per
+    point) and its noise parts (one block per part).
     """
     record = paths if record is None else record
     coins, noise = CoinSource(coin_seed), NoiseSource(noise_seed)
     bridge = np.random.default_rng([noise_seed, 1])
-    one_move = spec.coefficients.state_independent
     x = np.full(paths, spec.start_state[0])
+    zero = np.zeros((paths, 1))
     states, blocks = [x[:record]], []
     prev = None
     for k in range(part.intervals):
         t_prev = float(part.times[k])
         h = float(part.steps[k])
-        dt_sub = h / substeps
         nodes = strat_u.grid.nearest_index(x)
         if marks is None:
             heads = coins.uniforms(paths) < spec.priority_values(t_prev, x[:, None])
@@ -1086,34 +1093,26 @@ def _oracle_play(spec, part, marks, strat_u, strat_v, paths, substeps, coin_seed
         U = spec.actions_u.array[np.where(heads, u_plain, u_resp)]
         V = spec.actions_v.array[np.where(heads, v_resp, v_plain)]
         prev = nodes
-        if one_move:
-            dW = noise.increments(paths, spec.noise_dim, h)
-            b = spec.drift(t_prev, x[:, None], U, V)[:, 0]
-            sig = spec.diffusion(t_prev, x[:, None], U, V)[:, 0, :]
-            z = bridge.standard_normal((substeps, record, spec.noise_dim))
-            parts = dW[:record] / substeps + np.sqrt(h / substeps) * (z - z.mean(axis=0))
-            inner = x[:record]
-            for part_s in parts[:-1]:
-                inner = inner + b[:record] * h / substeps + np.sum(sig[:record] * part_s, axis=1)
-                states.append(inner)
-            x = x + b * h + np.sum(sig * dW, axis=1)
-            states.append(x[:record])
-            blocks.extend(parts)
-            continue
-        for ss in range(substeps):
-            t_sub = t_prev + ss * dt_sub
-            dW = noise.increments(paths, spec.noise_dim, dt_sub)
-            b = spec.drift(t_sub, x[:, None], U, V)[:, 0]
-            sig = spec.diffusion(t_sub, x[:, None], U, V)[:, 0, :]
-            x = x + b * dt_sub + np.sum(sig * dW, axis=1)
-            states.append(x[:record])
-            blocks.append(dW[:record])
+        a, c, s = spec.coefficients.interval_law(h)
+        dW = noise.increments(paths, spec.noise_dim, h)
+        cb = spec.drift(t_prev, zero, U, V)[:, 0] * c
+        sig = spec.diffusion(t_prev, zero, U, V)[:, 0, :] * s
+        z = bridge.standard_normal((substeps, record, spec.noise_dim))
+        parts = dW[:record] / substeps + np.sqrt(h / substeps) * (z - z.mean(axis=0))
+        inner = x[:record]
+        mean_step = cb[:record] if a == 1.0 else cb[:record] + (a - 1.0) * inner
+        for part_s in parts[:-1]:
+            inner = inner + mean_step / substeps + np.sum(sig[:record] * part_s, axis=1)
+            states.append(inner)
+        x = (x if a == 1.0 else a * x) + cb + np.sum(sig * dW, axis=1)
+        states.append(x[:record])
+        blocks.extend(parts)
     return spec.payoff_values(x[:, None]), np.array(states), np.array(blocks)
 
 
 # (family, noise columns, u actions); bilinear is the family whose drift moves with
 # the actions, so its 3 x 2 case checks the iu * kv + iv layout of the pair table.
-# affine is the state-dependent family, so its cases certify the Euler sub-steps
+# affine is the family whose law has a != 1, so its cases certify the state factor
 PLAY_PROBLEMS = {
     "constant": ("constant", None, (-1.0, 1.0)),
     "affine": ("affine", None, (-1.0, 1.0)),
@@ -1169,9 +1168,9 @@ def test_play_matches_per_substep_oracle_bitwise(case, rule):
             assert got.std_error == float(payoffs.std(ddof=1) / np.sqrt(paths))
 
 
-@pytest.mark.parametrize("case", ["constant", "bilinear"])
+@pytest.mark.parametrize("case", sorted(PLAY_PROBLEMS))
 def test_state_free_play_ignores_substeps_and_record(case):
-    # a state-free family moves once per interval by its exact increment, so
+    # every family moves once per interval by its exact interval law, so
     # sub-steps refine only the audit trail, and recording draws nothing
     # from the main stream
     coef, noise_dim, u_values = PLAY_PROBLEMS[case]
@@ -1235,6 +1234,39 @@ def test_benchmark_game_play_matches_the_exact_frozen_action_value():
                    tables.strategy_v, 100_000, 4, NoiseSource(12))
     exact = np.exp(-prob.horizon) * np.cos(4.0 * prob.horizon / n) ** n
     assert abs(res.mean - exact) <= 4.0 * res.std_error + 4.0 * grid.dx * prob.horizon
+
+
+@pytest.mark.parametrize("substeps", [1, 4])
+@pytest.mark.parametrize("times", [make_uniform_partition(0.0, 0.5, 4).times,
+                                   np.array([0.0, 0.05, 0.12, 0.3, 0.5])])
+def test_affine_play_matches_the_ornstein_uhlenbeck_value(times, substeps):
+    # the affine drift 0.2 - x moves with the state and not with the actions, so
+    # E cos X_T is the closed form whatever the strategies; with 4 Euler
+    # sub-steps per interval play sat 29 to 42 SE below it on these partitions
+    prob = ou_problem()
+    part = Partition(times)
+    grid = SpatialGrid(-6.0, 6.0, 61)
+    su = random_markov_strategy("u", grid, part, 2, 2, 1)
+    sv = random_markov_strategy("v", grid, part, 2, 2, 2)
+    res = simulate(prob, part, RandomMode(CoinSource(4)), su, sv, 200_000, substeps,
+                   NoiseSource(5))
+    assert abs(res.mean - float(ou_value(prob.horizon, 0.0))) <= 3.0 * res.std_error
+
+
+def test_an_overflowing_interval_law_raises_naming_the_interval():
+    # c1 h = 499 on the second interval: e^{2 c1 h} overflows, so s is inf
+    # and every later payoff would be NaN
+    prob = dataclasses.replace(
+        ou_problem(), coefficients=CoefficientSpec("affine", (0.0, 1000.0, 1.0), dim=1,
+                                                   noise_dim=1),
+    )
+    part = Partition(np.array([0.0, 0.001, 0.5]))
+    grid = SpatialGrid(-6.0, 6.0, 61)
+    su = random_markov_strategy("u", grid, part, 2, 2, 1)
+    sv = random_markov_strategy("v", grid, part, 2, 2, 2)
+    assert np.isfinite(prob.coefficients.interval_law(0.001)).all()
+    with pytest.raises(EngineError, match="^interval 1: .* not finite$"):
+        simulate(prob, part, RandomMode(CoinSource(4)), su, sv, 16, 1, NoiseSource(5))
 
 
 @pytest.mark.parametrize("sigma", [0.0, -0.0])
@@ -1359,21 +1391,20 @@ def test_negative_seeds_raise_engine_errors_naming_the_seed():
 def _replay_path(spec, part, marks, strat_u, strat_v, rec):
     """One recorded path replayed alone from its coins and noise.
 
-    A state-dependent family's Euler sub-steps replay bitwise.  A state-free
-    family moved once per interval, so its record holds that move's
-    increment split by a bridge: the replay steps b h / S and sigma part_s,
-    the parts must reach the recorded end state within rounding, and the
-    replay goes on from that state.  Returns its u and v actions, who moved
-    second, and its sub-step states.
+    The path moved once per interval by its family's law, so its record
+    holds that move's increment split by a bridge: the replay steps
+    ((a - 1) X + c b0) / S and s sigma part_s from the interval's first
+    point X, the parts must reach the recorded end state within rounding,
+    and the replay goes on from that state.  Returns its u and v actions,
+    who moved second, and its trail states.
     """
     substeps = rec.noise.shape[1]
-    one_move = spec.coefficients.state_independent
     x = np.full(1, spec.start_state[0])
+    zero = np.zeros((1, 1))
     us, vs, second, states = [], [], [], [x]
     prev = None
     for k in range(part.intervals):
         t_prev = float(part.times[k])
-        dt_sub = float(part.steps[k]) / substeps
         nodes = strat_u.grid.nearest_index(x)
         if marks is None:
             heads = rec.coins[k] < spec.priority_values(t_prev, x[:, None])
@@ -1385,18 +1416,16 @@ def _replay_path(spec, part, marks, strat_u, strat_v, rec):
         iv = np.where(heads, _oracle_actions(strat_v, k, nodes, prev, u_plain), v_plain)
         U, V = spec.actions_u.array[iu], spec.actions_v.array[iv]
         prev = nodes
+        a, c, s = spec.coefficients.interval_law(float(part.steps[k]))
+        cb = spec.drift(t_prev, zero, U, V)[:, 0] * c
+        sig = spec.diffusion(t_prev, zero, U, V)[:, 0, :] * s
+        step = (cb if a == 1.0 else cb + (a - 1.0) * x) / substeps
         for ss in range(substeps):
-            t_sub = t_prev + ss * dt_sub
-            dW = rec.noise[k, ss][None, :]
-            b = spec.drift(t_sub, x[:, None], U, V)[:, 0]
-            sig = spec.diffusion(t_sub, x[:, None], U, V)[:, 0, :]
-            step = b * float(part.steps[k]) / substeps if one_move else b * dt_sub
-            x = x + step + np.sum(sig * dW, axis=1)
+            x = x + step + np.sum(sig * rec.noise[k, ss][None, :], axis=1)
             states.append(x)
-        if one_move:
-            assert abs(x[0] - rec.states[k + 1]) <= 1e-12
-            x = rec.states[k + 1:k + 2]
-            states[-1] = x
+        assert abs(x[0] - rec.states[k + 1]) <= 1e-12
+        x = rec.states[k + 1:k + 2]
+        states[-1] = x
         us.append(iu[0])
         vs.append(iv[0])
         second.append(heads[0])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import SQRT2, bilinear_problem, singleton_problem
+from helpers import SQRT2, bilinear_problem, ou_problem, ou_value, singleton_problem
 from isaacslab import pde
 from isaacslab.pde import BlowupError, CflError, PdeError, SpatialGrid, ValueField
 from isaacslab.problem import (
@@ -386,7 +386,8 @@ def _assert_matches_oracle(spec, ham):
     field = pde.solve(spec, grid, dt, hamiltonian=ham)
     times, values = _oracle_march(spec, grid, dt, ham)
     assert np.array_equal(field.times, times)
-    if spec.coefficients.state_independent:
+    b, s2 = pde.coefficient_table(spec, 0.0, grid.xs)
+    if np.all(b == b[..., :1]) and np.all(s2 == s2[..., :1]):
         assert np.max(np.abs(field.values - values)) <= _rounding_bound(times, 8.0)
     elif ham == "mixed":
         assert np.max(np.abs(field.values - values)) <= _rounding_bound(times, 6.0)
@@ -421,6 +422,25 @@ def test_solve_agrees_with_difference_quotient_march(coef, ham):
     field = pde.solve(spec, grid, dt, hamiltonian=ham)
     times, values = _oracle_march(spec, grid, dt, ham, form="quotient")
     assert np.max(np.abs(field.values - values)) <= _rounding_bound(times, 16.0)
+
+
+def test_affine_march_converges_to_the_ornstein_uhlenbeck_value_at_first_order():
+    # the affine drift varies along the nodes, so the march takes the einsum;
+    # upwind differences are first order in dx, so each doubling of the nodes
+    # about halves the error on |x| <= 2, away from the zero-slope edges
+    spec = ou_problem()
+    errors = []
+    for nodes in (161, 321, 641):
+        grid = SpatialGrid(-8.0, 8.0, nodes)
+        b, _ = pde.coefficient_table(spec, 0.0, grid.xs)
+        assert not np.all(b == b[..., :1])
+        field = pde.solve(spec, grid, pde.cfl_max_dt(spec, grid), hamiltonian="lower")
+        inner = np.abs(grid.xs) <= 2.0
+        exact = ou_value(spec.horizon, grid.xs[inner])
+        errors.append(float(np.max(np.abs(field.initial_slice[inner] - exact))))
+    assert errors[-1] <= 3e-3
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.7 <= coarse / fine <= 2.3
 
 
 def test_node_varying_weights_take_the_einsum_path_bitwise(monkeypatch):

@@ -108,25 +108,54 @@ def test_every_coefficient_family_ignores_time(family):
     assert np.array_equal(coeff.diffusion(0.0, X, U, V), coeff.diffusion(horizon, X, U, V))
 
 
+def _integral_of_exp(rate: float, h: float) -> float:
+    """int_0^h e^{rate r} dr by 20-point Gauss-Legendre, not by a closed form."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    r = 0.5 * h * (nodes + 1.0)
+    return float(0.5 * h * np.sum(weights * np.exp(rate * r)))
+
+
 @pytest.mark.parametrize("family", coefficient_family_names())
-def test_every_coefficient_family_state_independent_is_honest(family):
-    # forward play reads a state-independent family from one action-pair table
-    # built at X = 0, so drift and diffusion at any X must equal it bitwise
+def test_every_coefficient_family_interval_law_is_honest(family):
+    # forward play moves each path once per interval by X' = a X + c b0 + s sigma dW,
+    # dW ~ N(0, h), with b0 and sigma read from the action-pair table at X = 0
     rng = np.random.default_rng(seed)
-    d = d_prime = 2
-    count = problem._COEFFICIENT_FAMILIES[family].param_count(d, d_prime)
-    coeff = CoefficientSpec(family, rng.uniform(-2.0, 2.0, count), dim=d, noise_dim=d_prime)
-    assert coeff.state_independent is problem._COEFFICIENT_FAMILIES[family].state_independent
-    if family == "affine":
-        assert coeff.state_independent is False
-    if not coeff.state_independent:
-        return
-    X = rng.normal(0.0, 5.0, (64, d))
+    count = problem._COEFFICIENT_FAMILIES[family].param_count(1, 1)
+    coeff = CoefficientSpec(family, rng.uniform(-2.0, 2.0, count), dim=1, noise_dim=1)
+    X = rng.normal(0.0, 5.0, (64, 1))
     zero = np.zeros_like(X)
-    U = rng.uniform(-1.0, 1.0, (64, 2))
-    V = rng.uniform(-1.0, 1.0, (64, 2))
-    assert np.array_equal(coeff.drift(0.0, X, U, V), coeff.drift(0.0, zero, U, V))
-    assert np.array_equal(coeff.diffusion(0.0, X, U, V), coeff.diffusion(0.0, zero, U, V))
+    U = rng.uniform(-1.0, 1.0, (64, 1))
+    V = rng.uniform(-1.0, 1.0, (64, 1))
+    b0, sig = coeff.drift(0.0, zero, U, V), coeff.diffusion(0.0, zero, U, V)[:, :, 0]
+    slope = (coeff.drift(0.0, X, U, V) - b0) / X
+    for h in (0.5, 0.05, 1e-3):
+        a, c, s = coeff.interval_law(h)
+        if a == 1.0:
+            # the family ignores the state: the X = 0 table holds at every X, bitwise
+            assert (c, s) == (h, 1.0)
+            assert np.array_equal(coeff.drift(0.0, X, U, V), b0)
+            assert np.array_equal(coeff.diffusion(0.0, X, U, V)[:, :, 0], sig)
+            continue
+        # affine drift b0 + c1 x: the Ornstein-Uhlenbeck mean e^{c1 h} x + b0 int e^{c1 r}
+        # and variance sigma^2 int e^{2 c1 r} over [0, h]
+        c1 = float(slope[0, 0])
+        assert np.allclose(slope, c1, rtol=1e-12, atol=1e-12)
+        mean = np.exp(c1 * h) * X + b0 * _integral_of_exp(c1, h)
+        assert np.allclose(a * X + c * b0, mean, rtol=1e-12, atol=1e-12)
+        assert np.allclose((s * sig) ** 2 * h, sig ** 2 * _integral_of_exp(2.0 * c1, h),
+                           rtol=1e-12, atol=0.0)
+    # as h -> 0 the law is the Euler step: (a - 1) / h tends to the drift's x-slope
+    for h in (1e-4, 1e-6):
+        a = coeff.interval_law(h)[0]
+        assert np.allclose((a - 1.0) / h, slope, rtol=0.0, atol=4.0 * h + 1e-9)
+
+
+def test_affine_interval_law_is_for_one_dimension():
+    # with two coordinates the noise of one is no scaled copy of its own increment
+    coeff = CoefficientSpec("affine", (0.0, 0.0, -1.0, -2.0, 1.0, 0.0, 0.0, 1.0), dim=2,
+                            noise_dim=2)
+    with pytest.raises(ProblemError, match="state dimension 1"):
+        coeff.interval_law(0.1)
 
 
 @pytest.mark.parametrize(

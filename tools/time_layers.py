@@ -19,9 +19,9 @@ seconds of the call alone; with no layer named, all four run.
   saddle strategies with 100k paths and substeps = 4, which the benchmark
   game's state-free coefficients leave at one exact move per interval; the
   same with the drift swapped for the state-dependent affine family
-  b = -x, which takes 4 Euler sub-steps and evaluates its coefficients at
-  each; the same with the priority swapped for the logistic
-  p(x) = 1/(1 + e^-x), which reads p at every path's state (no
+  b = -x, which also makes one exact move per interval, by its
+  Ornstein-Uhlenbeck step; the same with the priority swapped for the
+  logistic p(x) = 1/(1 + e^-x), which reads p at every path's state (no
   per-interval table), with the saddle strategies of the benchmark game;
   and exploitability for each frozen side, 16 challengers x 20k paths
   with substeps = 4.  Each simulate row also gives the Gaussian noise
