@@ -11,6 +11,11 @@ one-step expectation the backward sweep reads, laid out (ku, kv, nodes).
 Off-lattice successors are evaluated by linear interpolation, which keeps
 the backward operator monotone; queries beyond the grid clamp to the edge
 value, the probabilistic counterpart of the solver's zero-slope boundary.
+The successors are fixed per distinct step, so each slab's interpolation
+stencil is found once, when the lattice is built: every successor's left
+node, in the narrowest unsigned dtype, and the successors that read a node
+value as is.  An interval then searches nothing: it gathers numpy's own
+interpolation formula from the stencil, bitwise ``np.interp``.
 
 Each interval is a batch of one-period matrix games on the continuation
 values, one per node, valued by the backward sweep that the PDE march runs
@@ -59,7 +64,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .pde import SpatialGrid, ValueField, _backward_sweep, coefficient_table
+from .pde import SpatialGrid, ValueField, _backward_sweep, _Stencil, coefficient_table
 from .problem import ProblemError, ProblemSpec
 from .schedule import MarkSequence, Partition, ScheduleError, SubGrid
 
@@ -177,10 +182,14 @@ class TransitionModel:
     positions are stored once per distinct step: ``slabs`` has shape
     (distinct steps, ku, kv, nodes, q) and interval k reads slab
     ``slab_of[k]``.  Positions are raw (unclamped); interpolation clamps
-    at query time.  ``expect`` is the one place where successors meet a
-    value slice.  ``successors`` assembles the full tensor, a new array on
-    every access, seen as (intervals, nodes, ku, kv, q), for checks.
-    ``max_protrusion`` records how far any successor leaves the domain.
+    at query time.  Each slab has its interpolation stencil in
+    ``stencils``, found once when the lattice is built: every successor's
+    left node and the successors that read a node value as is, so an
+    interval searches nothing.  ``expect`` is the one place where
+    successors meet a value slice.  ``successors`` assembles the full
+    tensor, a new array on every access, seen as (intervals, nodes, ku,
+    kv, q), for checks.  ``max_protrusion`` records how far any successor
+    leaves the domain.
     """
 
     grid: SpatialGrid
@@ -189,6 +198,7 @@ class TransitionModel:
     quad_weights: np.ndarray
     slabs: np.ndarray
     slab_of: np.ndarray
+    stencils: tuple[_Stencil, ...]
     max_protrusion: float
 
     @property
@@ -204,12 +214,11 @@ class TransitionModel:
         """One-step expectation of the node values over interval k, shape (ku, kv, nodes).
 
         The successors are interpolated linearly in ``values`` (one entry
-        per grid node, clamped beyond the edges) and weighted by the
-        quadrature weights, one matrix-vector product per action pair.
+        per grid node, clamped beyond the edges) by the slab's stencil,
+        bitwise ``np.interp``, and weighted by the quadrature weights, one
+        matrix-vector product per action pair.
         """
-        succ = self.slabs[self.slab_of[k]]
-        contin = np.interp(succ.ravel(), self.grid.xs, values).reshape(succ.shape)
-        return contin @ self.quad_weights
+        return self.stencils[self.slab_of[k]](values) @ self.quad_weights
 
     def moment_errors(self, spec: ProblemSpec) -> tuple[float, float]:
         """Worst absolute error of lattice mean and variance vs b dt and sigma^2 dt."""
@@ -245,8 +254,9 @@ def build_lattice(
 
     Intervals of equal step share one slab, computed from that step as a
     Python float, so each slab is bitwise the successors of every interval
-    it stands for.  The partition must end at the horizon (the terminal
-    slice carries g) and start no earlier than time zero.  Raises
+    it stands for, and one interpolation stencil, searched here once.  The
+    partition must end at the horizon (the terminal slice carries g) and
+    start no earlier than time zero.  Raises
     :class:`GridTooCoarseError` when a single step can overshoot half the
     domain width: no amount of clamping makes such a lattice meaningful.
     """
@@ -281,6 +291,7 @@ def build_lattice(
         quad_weights=w,
         slabs=slabs,
         slab_of=slab_of,
+        stencils=tuple(_Stencil(xs, slab) for slab in slabs),
         max_protrusion=protrusion,
     )
 

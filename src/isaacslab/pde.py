@@ -36,11 +36,13 @@ when the weights are equal along the nodes, as for families that ignore
 the state, or an einsum over the three rows otherwise.  The march is thus
 the lattice DP of :mod:`isaacslab.engine` with other weights: both run
 :func:`_backward_sweep`, which values the local games with
-:mod:`isaacslab.static_game`, blends them by ``mix`` and checks each slice
-against the terminal bounds.  The one-sided modes and a time-only priority
+:mod:`isaacslab.static_game`, blends them by ``mix`` straight into the
+slice and checks it against the terminal bounds.  The one-sided modes and a time-only priority
 are tabulated over the step times once per sweep, as the paper's rules for
 a state-independent p can be set in advance, so the blend takes one float
 per step; a state-dependent priority is evaluated on the nodes at every step.
+The lattice's interpolation stencils live here too (``_Stencil``, bitwise
+``np.interp``), as does the field's own lookup.
 
 State dimension is one; higher-dimensional problems are accepted by the
 algebraic modules but not by this solver.
@@ -130,6 +132,60 @@ class SpatialGrid:
         return idx.astype(int)
 
 
+class _Stencil:
+    """Linear interpolation of node values at fixed points, bitwise ``np.interp``, searched once.
+
+    For nodes ``xs`` and points ``x``, ``left`` holds each point's left
+    node j, xs[j] <= x < xs[j + 1] (clipped into the last segment), in the
+    narrowest unsigned dtype.  ``held`` lists the points where np.interp
+    returns a node value as is, and ``held_node`` that node: a point on a
+    node, on or past the last node, before the first, or at +-inf.  A call
+    on node values V evaluates numpy's own formula slope[j] (x - xs[j]) +
+    V[j], slope[j] = (V[j+1] - V[j]) / (xs[j+1] - xs[j]), at every other
+    point, NaN included, by gathers, then writes the held values, so it
+    returns np.interp(x, xs, V) with its default edge values bit for bit.
+    The offsets x - xs[j] are recomputed on every call, which keeps the
+    stored stencil to integers.
+    """
+
+    def __init__(self, xs: np.ndarray, x: np.ndarray):
+        n = xs.size
+        self.xs, self.x, self.gaps = xs, x.reshape(-1), np.diff(xs)
+        j = np.searchsorted(xs, self.x, side="right") - 1
+        node = np.clip(j, 0, n - 1)
+        # NaN sorts past the last node, but np.interp returns it as NaN
+        held = ((j < 0) | (j == n - 1) | (xs[node] == self.x)) & ~np.isnan(self.x)
+        self.left = np.clip(j, 0, n - 2).astype(np.min_scalar_type(n - 2))
+        self.held = np.flatnonzero(held).astype(np.min_scalar_type(self.x.size))
+        self.held_node = node[held].astype(np.min_scalar_type(n - 1))
+        self.shape = x.shape
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """np.interp(x, xs, values) in the shape of ``x``, as silent as np.interp on non-finite input."""
+        xs, x = self.xs, self.x
+        j = self.left.astype(np.intp)
+        with np.errstate(invalid="ignore", over="ignore"):
+            slope = np.diff(values)
+            slope /= self.gaps
+            out = np.take(xs, j, mode="clip")
+            np.subtract(x, out, out=out)
+            work = np.take(slope, j, mode="clip")
+            out *= work
+            np.take(values, j, out=work, mode="clip")
+            out += work
+            if not np.isfinite(slope).all():
+                # a non-finite value can make the formula NaN, which np.interp
+                # retries from the right node, then settles at V[j] if V[j] == V[j+1]
+                redo = np.flatnonzero(np.isnan(out) & ~np.isnan(x))
+                jr = j[redo]
+                again = slope[jr] * (x[redo] - xs[jr + 1]) + values[jr + 1]
+                flat = np.isnan(again) & (values[jr] == values[jr + 1])
+                again[flat] = values[jr[flat]]
+                out[redo] = again
+        out[self.held] = values[self.held_node]
+        return out.reshape(self.shape)
+
+
 @dataclass(frozen=True)
 class ValueField:
     """Values W[k, j] ~ v(times[k], xs[j]) on a time-space product grid."""
@@ -189,11 +245,11 @@ class ValueField:
         t = min(max(t, float(times[0])), float(times[-1]))
         k = int(np.searchsorted(times, t, side="right") - 1)
         k = min(max(k, 0), times.size - 2) if times.size > 1 else 0
-        xq = float(self.grid.clamp(np.asarray(x, dtype=float)))
-        lo = float(np.interp(xq, self.grid.xs, self.values[k]))
+        at = _Stencil(self.grid.xs, self.grid.clamp(np.array([x], dtype=float)))
+        lo = float(at(self.values[k])[0])
         if times.size == 1:
             return lo
-        hi = float(np.interp(xq, self.grid.xs, self.values[k + 1]))
+        hi = float(at(self.values[k + 1])[0])
         w = (t - float(times[k])) / float(times[k + 1] - times[k])
         return (1.0 - w) * lo + w * hi
 
@@ -243,7 +299,8 @@ def _backward_sweep(spec, grid, times, expect, p_steps, p_at, strategy_starts, *
     range error names the t the sweep meets first, else read at the nodes.
     Strategy rows come from :func:`local_saddle` at each interval in
     ``strategy_starts`` (ties to the lowest index), and every other interval
-    needs only :func:`local_values`.  Both solvers' weights are convex, so a
+    needs only :func:`local_values`.  ``mix`` writes the blend straight
+    into ``values[k]``.  Both solvers' weights are convex, so a
     slice outside the terminal bounds raises :class:`BlowupError`.  Returns
     the field, the rows (u_plain, u_counter, v_plain, v_counter) and the
     largest lower - upper seen, which is scanned for only with
@@ -280,7 +337,7 @@ def _backward_sweep(spec, grid, times, expect, p_steps, p_at, strategy_starts, *
         if track_order and np.greater(lower, upper).any():
             worst = max(worst, float(np.max(lower - upper)))
         p = spec.priority_values(float(p_at[k]), X) if p_steps is None else p_steps[k]
-        values[k] = mix(p, lower, upper)
+        mix(p, lower, upper, out=values[k])
         # NaN fails both comparisons and an infinity fails a bound
         lo, hi = values[k].min(), values[k].max()
         if not (lo >= lo_bound and hi <= hi_bound):

@@ -58,7 +58,7 @@ def _check_prio(prio):
     return p
 
 
-def mix(prio, lower, upper):
+def mix(prio, lower, upper, out=None):
     """Priority-weighted combination with exact endpoints, for scalars or arrays.
 
     Where prio == 1.0 the result is ``lower`` itself and where prio == 0.0
@@ -70,12 +70,27 @@ def mix(prio, lower, upper):
     ``upper``: it returns ``lower`` (p = 1) or ``upper`` (p = 0) as given,
     or p * lower + (1 - p) * upper, elementwise bitwise what an array prio
     of equal entries gives, without the two selection passes.
+
+    With ``out``, an array that shares no memory with ``upper``, the
+    result is written there and ``out`` is returned; a scalar p strictly
+    inside (0, 1) forms p * lower there and adds (1 - p) * upper in place,
+    the same sum with one temporary instead of three.
     """
     p = _check_prio(prio)
-    if isinstance(p, float):
-        out = lower if p == 1.0 else upper if p == 0.0 else p * lower + (1.0 - p) * upper
-        return float(out) if np.ndim(out) == 0 else out
-    return np.where(p == 1.0, lower, np.where(p == 0.0, upper, p * lower + (1.0 - p) * upper))
+    if not isinstance(p, float):
+        blend = np.where(p == 1.0, lower, np.where(p == 0.0, upper, p * lower + (1.0 - p) * upper))
+    elif p == 1.0 or p == 0.0:
+        blend = lower if p == 1.0 else upper
+    elif out is None:
+        blend = p * lower + (1.0 - p) * upper
+    else:
+        np.multiply(p, lower, out=out)
+        out += (1.0 - p) * upper
+        return out
+    if out is not None:
+        out[...] = blend
+        return out
+    return float(blend) if isinstance(p, float) and np.ndim(blend) == 0 else blend
 
 
 @dataclass(frozen=True)

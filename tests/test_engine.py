@@ -1272,10 +1272,11 @@ def test_an_overflowing_interval_law_raises_naming_the_interval():
 @pytest.mark.parametrize("sigma", [0.0, -0.0])
 @pytest.mark.parametrize("coef", ["constant", "affine"])
 def test_one_noise_column_keeps_the_sign_of_zero_bitwise(coef, sigma):
-    # X starts at -0.0 and b = -0.0, so x + b h = -0.0, and sigma dW is +0.0 or
-    # -0.0 by the sign of dW: a bare -0.0 + -0.0 would keep X at -0.0 where
-    # the oracle's np.sum over the noise column makes it +0.0
-    params = (-0.0, sigma) if coef == "constant" else (-0.0, 0.0, sigma)
+    # X starts at -0.0 and b0 = -0.0, so a X + c b0 = -0.0, and sigma dW is
+    # +0.0 or -0.0 by the sign of dW: a bare -0.0 + -0.0 would keep X at -0.0
+    # where the oracle's np.sum over the noise column makes it +0.0.  The
+    # affine drift c0 + c1 x reads -0.0 at x = 0 only with c1 < 0
+    params = (-0.0, sigma) if coef == "constant" else (-0.0, -1.0, sigma)
     prob = ProblemSpec(
         coefficients=CoefficientSpec(coef, params, dim=1, noise_dim=1),
         payoff=PayoffSpec("cosine", (1.0, 1.0), dim=1),
@@ -1285,6 +1286,8 @@ def test_one_noise_column_keeps_the_sign_of_zero_bitwise(coef, sigma):
         horizon=0.5,
         start_state=(-0.0,),
     )
+    zero = np.zeros((1, 1))
+    assert np.signbit(prob.coefficients.drift(0.0, zero, zero, zero)).all()
     grid = SpatialGrid(-1.0, 1.0, 21)
     part = make_uniform_partition(0.0, 0.5, 3)
     tables = dp_value_random(prob, part, build_lattice(prob, grid, part))

@@ -104,6 +104,33 @@ def test_value_field_lookup():
         vf.value_at(1.5, 0.0)
 
 
+@pytest.mark.parametrize("values", [
+    np.full(9, -0.0),
+    np.array([-0.0, 1.0, -0.0, -2.0, 0.0, -0.0, 3.0, -0.0, -0.0]),
+    np.random.default_rng(5).normal(size=9),
+    # non-finite values send np.interp to its retry from the right node
+    np.array([0.0, 1.0, np.inf, 2.0, -np.inf, -np.inf, np.nan, 1.0, 1.0]),
+], ids=["negative_zeros", "signed_zeros", "normal", "non_finite"])
+def test_stencil_is_np_interp_bitwise_at_every_edge_case(values):
+    # on a node (the first and last included), between nodes, past either
+    # edge, at +-inf and at NaN; a held node value keeps -0.0, which
+    # slope * 0 + V[j] would turn into +0.0
+    xs = SpatialGrid(-1.0, 1.0, 9).xs
+    x = np.concatenate([
+        xs, (xs[:-1] + xs[1:]) / 2, [-0.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)],
+        [-1.5, 1.5, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), -np.inf, np.inf, np.nan],
+    ])
+    x = np.random.default_rng(6).permutation(x).reshape(3, 9)
+    stencil = pde._Stencil(xs, x)
+    assert stencil.left.dtype == np.uint8
+    want = np.interp(x.ravel(), xs, values).reshape(x.shape)
+    got = stencil(values)
+    assert got.shape == x.shape
+    assert got.tobytes() == want.tobytes()
+    # one stencil serves any slice on the same points
+    assert stencil(-values).tobytes() == np.interp(x.ravel(), xs, -values).tobytes()
+
+
 def test_cfl_pure_diffusion():
     # sigma = sqrt(2), dx = 0.1: dt <= (1 - 1e-6) / (sigma^2 / dx^2) = 0.005 ...
     prob = singleton_problem(drift=0.0, sigma=SQRT2)

@@ -127,6 +127,20 @@ def test_mix_scalar_priority_matches_equal_array_bitwise(prio):
         assert mix(prio, lower, upper) is (lower if prio == 1.0 else upper)
 
 
+@pytest.mark.parametrize("prio", [1.0, 0.0, 0.3, 1.0 - 2.0**-53, "array"])
+def test_mix_into_out_is_mix_bitwise(prio):
+    # the in-place sum p * lower, then += (1 - p) * upper, gives mix's bits
+    rng = np.random.default_rng(seed)
+    lower, upper = rng.normal(size=40), rng.normal(size=40)
+    lower[::3], upper[1::3] = -0.0, -0.0
+    lower[2::5], upper[2::5] = 0.0, -0.0
+    if prio == "array":
+        prio = np.tile([1.0, 0.0, 0.3, 0.7], 10)
+    out = np.full(40, np.nan)
+    assert mix(prio, lower, upper, out=out) is out
+    assert out.tobytes() == mix(prio, lower, upper).tobytes()
+
+
 def test_mix_scalar_returns_float():
     for prio in (0.25, np.float64(0.25), np.array(0.25)):
         out = mix(prio, -1.0, 1.0)

@@ -13,8 +13,10 @@ seconds of the call alone; with no layer named, all four run.
   which extracts them once per block, at 641 nodes x 1600 intervals and at
   2561 nodes x 100 intervals, with each median divided by the interval
   count in microseconds per interval, the unit of the pde rows' steps, as
-  both run the same backward sweep.  Building the lattice and the marks is
-  not timed.
+  both run the same backward sweep; and the lattice's expect alone, called
+  once per interval on the terminal slice, the interpolation and
+  quadrature of one interval without its local games.  Building the
+  lattice and the marks is not timed.
 - play: on the random-rule DP at 641 nodes x 100 intervals, simulate of the
   saddle strategies with 100k paths and substeps = 4, which the benchmark
   game's state-free coefficients leave at one exact move per interval; the
@@ -90,8 +92,8 @@ def time_pde(spec, repeats: int) -> None:
 
 
 def time_dp(spec, repeats: int) -> None:
-    print("nodes  intervals            random     deterministic   (median CPU s over", repeats,
-          "runs, us per interval)")
+    print("nodes  intervals            random     deterministic            expect   "
+          "(median CPU s over", repeats, "runs, us per interval)")
     for nodes, intervals, block in ((641, 1600, 40), (2561, 100, 10)):
         grid = pde.SpatialGrid(-8.0, 8.0, nodes)
         part = schedule.make_uniform_partition(0.0, spec.horizon, intervals)
@@ -101,8 +103,11 @@ def time_dp(spec, repeats: int) -> None:
         det = median_cpu(
             lambda: engine.dp_value_deterministic(spec, part, marks, subgrid, lattice), repeats
         )
-        per_interval = [f"{s:8.3f} ({1e6 * s / intervals:6.1f})" for s in (rand, det)]
-        print(f"{nodes:5d}  {intervals:9d}  {per_interval[0]}  {per_interval[1]}")
+        terminal = spec.payoff_values(grid.xs[:, None])
+        alone = median_cpu(lambda: [lattice.expect(k, terminal) for k in range(intervals)],
+                           repeats)
+        per_interval = [f"{s:8.3f} ({1e6 * s / intervals:6.1f})" for s in (rand, det, alone)]
+        print(f"{nodes:5d}  {intervals:9d}  " + "  ".join(per_interval))
 
 
 def play_inputs(spec):
