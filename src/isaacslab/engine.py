@@ -130,7 +130,9 @@ class NoiseSource(_SeededStream):
 
     Draw order is fixed (one (paths, noise_dim) block per interval, the
     increment of its one move), so two runs with equal seeds and equal
-    shapes see identical noise.  ``draws`` counts that stream alone.
+    shapes see identical noise.  A block is bitwise the generator's
+    ``normal(0, sqrt(dt), size)``, formed with one temporary: standard
+    normals scaled in place.  ``draws`` counts that stream alone.
     ``bridge`` splits increments for an audit trail with a second
     generator derived from the seed, so recording paths never shifts the
     main stream.
@@ -142,7 +144,12 @@ class NoiseSource(_SeededStream):
 
     def increments(self, paths: int, noise_dim: int, dt: float) -> np.ndarray:
         self.draws += paths * noise_dim
-        return self._rng.normal(0.0, np.sqrt(dt), size=(paths, noise_dim))
+        # numpy forms normal(0, s) as 0.0 + s z per draw; scaling the standard
+        # normals in place and adding 0.0 (a -0.0 becomes +0.0) is those bits
+        dW = self._rng.standard_normal((paths, noise_dim))
+        dW *= np.sqrt(dt)
+        dW += 0.0
+        return dW
 
     def bridge(self, dW: np.ndarray, substeps: int, dt: float) -> np.ndarray:
         """Brownian-bridge split of increments dW ~ N(0, dt) into ``substeps`` parts.
@@ -362,10 +369,14 @@ class _MarkovTable:
         n_opp = self.counter.shape[2]
 
         def counter(opp: np.ndarray) -> np.ndarray:
-            # the flat index would read an out-of-range opp from a neighbouring node
-            if opp.min() < 0 or opp.max() >= n_opp:
+            # the flat index would read an out-of-range opp from a neighbouring
+            # node; a negative one wraps above the range in the uint64 view
+            opp = opp.astype(np.intp, casting="same_kind", copy=False)
+            if opp.view(np.uint64).max() >= n_opp:
                 raise EngineError(f"opponent action index outside [0, {n_opp})")
-            return self._counter_rows[r].take(nodes * n_opp + opp).astype(np.intp, copy=False)
+            flat = nodes * n_opp
+            flat += opp
+            return self._counter_rows[r].take(flat).astype(np.intp, copy=False)
 
         return self.plain[r].take(nodes).astype(np.intp, copy=False), counter
 
@@ -402,6 +413,27 @@ def _mix_into(acc: np.ndarray, value, tmp: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _mix_int(acc: int, value: int) -> int:
+    """:func:`_mix_into` on one value, in Python ints: a scalar prefix costs no array passes."""
+    acc = (acc + (value & _U64) + 0x9E3779B97F4A7C15) & _U64
+    acc = ((acc ^ acc >> 30) * 0xBF58476D1CE4E5B9) & _U64
+    acc = ((acc ^ acc >> 27) * 0x94D049BB133111EB) & _U64
+    return acc ^ acc >> 31
+
+
+def _remainder(acc: np.ndarray, n: np.uint64, out: np.ndarray) -> np.ndarray:
+    """``acc % n`` for uint64 ``acc`` and n >= 1, written to ``out`` and seen as intp.
+
+    Bitwise the remainder, as acc - acc // n * n: numpy divides uint64 by a
+    scalar through libdivide, where ``%`` runs one hardware division per
+    element.  The remainder is below n, so its intp view is its value.
+    """
+    np.floor_divide(acc, n, out=out)
+    out *= n
+    np.subtract(acc, out, out=out)
+    return out.view(np.intp)
+
+
 class _HashFeedback:
     """History-dependent challenger: a hash of (interval, node, last node, opponent).
 
@@ -410,10 +442,11 @@ class _HashFeedback:
     node.  The last node is ``prev``, the node of the previous interval,
     taken as 0 at the first interval.
 
-    The mix of (seed, interval, node) takes one value per grid node, so
-    ``moves`` hashes it once over the nodes, gathers it per path and
-    continues it by the last node for the plain move; the counter map
-    continues a copy of that hash by the opponent's action.
+    The mix of (seed, interval) is one value, so ``moves`` mixes it once,
+    continues it by every grid node, gathers that per path and continues
+    it by the last node for the plain move; the counter map continues a
+    copy of that hash by the opponent's action.  Each hash is reduced to
+    an action by :func:`_remainder`, into a buffer the mix already holds.
     """
 
     def __init__(self, grid: SpatialGrid, n_actions: int, seed: int):
@@ -424,19 +457,19 @@ class _HashFeedback:
         self.seed = int(seed)
 
     def moves(self, k: int, nodes: np.ndarray, prev) -> tuple[np.ndarray, Callable]:
-        per_node = np.zeros(self.grid.nodes, dtype=np.uint64)
-        tmp = np.empty_like(per_node)
-        for value in (self.seed, k, np.arange(self.grid.nodes)):
-            _mix_into(per_node, value, tmp)
+        per_node = np.full(self.grid.nodes, _mix_int(_mix_int(0, self.seed), k), dtype=np.uint64)
+        _mix_into(per_node, np.arange(self.grid.nodes), np.empty_like(per_node))
         acc = per_node.take(nodes)
-        _mix_into(acc, np.zeros_like(nodes) if prev is None else prev, np.empty_like(acc))
+        tmp = np.empty_like(acc)
+        _mix_into(acc, 0 if prev is None else prev, tmp)
         n = np.uint64(self.n_actions)
 
         def counter(opp: np.ndarray) -> np.ndarray:
             reply = acc.copy()
-            return (_mix_into(reply, opp, np.empty_like(reply)) % n).astype(np.intp)
+            work = np.empty_like(reply)
+            return _remainder(_mix_into(reply, opp, work), n, work)
 
-        return (acc % n).astype(np.intp), counter
+        return _remainder(acc, n, tmp), counter
 
 
 class HashFeedbackStrategyU(_HashFeedback):
@@ -753,12 +786,12 @@ class _Trail:
 
 
 def _select(heads: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.where(heads, a, b)`` for integer arrays, as b + heads * (a - b).
+    """``np.where(heads, a, b)`` for integer arrays, as b + heads * (a - b), in intp.
 
     Exact for integers; on a random heads vector it runs several times
     faster than ``np.where``, whose per-element branch mispredicts.
     """
-    out = a - b
+    out = np.subtract(a, b, dtype=np.intp)
     out *= heads
     out += b
     return out
@@ -797,13 +830,18 @@ def _play(
     interval's actions depend only on the node and the coin, so they are
     resolved and frozen once on a key axis of 2 * nodes entries (node j on
     tails is key j, on heads key nodes + j) and each path takes its lane by
-    its key heads * nodes + node; this also range-checks every node's
-    actions, not only the visited ones.  Other strategies may read ``prev``
-    and are resolved per path.  Each move updates the states in place, as
-    x *= a (skipped when a = 1), x += c b0 and then x += s sigma dW, so a
-    state-free family moves bitwise by x + b h + sigma dW.  The audit trail
-    splits the block by the noise source's bridge, once for all lanes, on
-    the recorded paths alone.
+    its key heads * nodes + node, added in place to its node index; this
+    also range-checks every node's actions, not only the visited ones.
+    The keyed lanes of one heads vector (marks or a time-only p) and one
+    node count share that interval's coin-face offset heads * nodes.
+    Each side's range check is one max over the uint64 view of its
+    actions, where a negative index wraps above the range.
+    Other strategies may read ``prev`` and are resolved per path.  With
+    one noise column sigma is gathered from a 1-D column.  Each move
+    updates the states in place, as x *= a (skipped when a = 1), x += c b0
+    and then x += s sigma dW, so a state-free family moves bitwise by
+    x + b h + sigma dW.  The audit trail splits the block by the noise
+    source's bridge, once for all lanes, on the recorded paths alone.
     """
     if spec.dim != 1:
         raise EngineError("the simulator handles state dimension 1")
@@ -840,6 +878,9 @@ def _play(
     b_tab, sig_tab = spec.coefficient_table(float(partition.times[0]), np.zeros((1, spec.dim)))
     b_pairs = b_tab.reshape(ku * kv)
     sig_pairs = sig_tab.reshape(ku * kv, d_prime)
+    if d_prime == 1:
+        # one noise column: gather sigma from a 1-D column, not by rows
+        sig_pairs = sig_pairs[:, 0].copy()
     lanes = range(len(pairs))
     # a Markov pair's key axis, as the (nodes, prev, heads) its lane resolves
     # on; None for a lane resolved per path
@@ -871,12 +912,14 @@ def _play(
                 heads = coins < p_steps[k]
         dW = noise.increments(paths, d_prime, h)
         parts = noise.bridge(dW[:record], substeps, h) if record else None
+        faces = {}  # heads * nodes by node count, shared by keyed lanes while heads is
         for i, (strat_u, strat_v) in enumerate(pairs):
             prev = prevs[i]  # read first, so no older node array outlives this one
             x = xs[i]
             nodes = strat_u.grid.nearest_index(x)
             if p_steps is None:
                 heads = coins < spec.priority_values(float(partition.times[k]), x[:, None])
+                faces.clear()
             keyed = key_axes[i] is not None
             at, at_prev, at_heads = key_axes[i] if keyed else (nodes, prev, heads)
             u_plain, u_counter = strat_u.moves(k, at, at_prev)
@@ -886,23 +929,28 @@ def _play(
             del u_counter, v_counter  # a counter map may hold a hash per path
             iu = _select(at_heads, u_plain, u_resp)
             iv = _select(at_heads, v_resp, v_plain)
-            # a flat pair index would alias an out-of-range action into another pair
-            if iu.min() < 0 or iu.max() >= ku:
+            # a flat pair index would alias an out-of-range action into another
+            # pair; a negative index wraps above the range in the uint64 view
+            if iu.view(np.uint64).max() >= ku:
                 raise EngineError(f"u played an action index outside [0, {ku})")
-            if iv.min() < 0 or iv.max() >= kv:
+            if iv.view(np.uint64).max() >= kv:
                 raise EngineError(f"v played an action index outside [0, {kv})")
-            pair = iu * kv + iv
+            pair = iu * kv
+            pair += iv
             cb, sig = b_law.take(pair), sig_law.take(pair, axis=0)
             if keyed:
                 # each path reads the key of its coin face and node
-                key = heads * strat_u.grid.nodes
-                key += nodes
+                n_nodes = strat_u.grid.nodes
+                if n_nodes not in faces:
+                    faces[n_nodes] = heads * n_nodes
+                key = nodes
+                key += faces[n_nodes]
                 cb, sig = cb.take(key), sig.take(key, axis=0)
             prevs[i] = None if keyed else nodes
             if d_prime == 1:
                 # np.sum adds from the identity 0.0, which turns a -0.0
                 # product into +0.0; the column plus 0.0 keeps those bits
-                np.multiply(sig[:, 0], dW[:, 0], out=sdw)
+                np.multiply(sig, dW[:, 0], out=sdw)
                 sdw += 0.0
             else:
                 np.sum(sig * dW, axis=1, out=sdw)
@@ -918,7 +966,8 @@ def _play(
                 if coins is not None:
                     trail.coins[k] = coins[:record]
                 trail.second[k] = heads[:record]
-                trail.bridge(k, parts, a, cb[:record], sig[:record], x[:record])
+                trail.bridge(k, parts, a, cb[:record], sig[:record].reshape(record, d_prime),
+                             x[:record])
             del cb, sig  # this lane's frozen coefficients go before the next lane's
 
     results = []

@@ -121,21 +121,21 @@ class SpatialGrid:
     def nearest_index(self, x: np.ndarray) -> np.ndarray:
         """Index of the closest node, clamped to the grid.
 
-        Works in place on one float buffer: forward play calls this once
-        per interval and strategy pair on every path.
+        Works in place on one float buffer, clamped in one pass: forward
+        play calls this once per interval and strategy pair on every path.
         """
         idx = np.asarray(np.subtract(x, self.lower, dtype=float))
         np.divide(idx, self.dx, out=idx)
         np.rint(idx, out=idx)
-        np.maximum(idx, 0.0, out=idx)
-        np.minimum(idx, self.nodes - 1, out=idx)
+        np.clip(idx, 0.0, self.nodes - 1, out=idx)
         return idx.astype(int)
 
 
 class _Stencil:
     """Linear interpolation of node values at fixed points, bitwise ``np.interp``, searched once.
 
-    For nodes ``xs`` and points ``x``, ``left`` holds each point's left
+    For nodes ``xs`` and points ``x`` (laid out with the nodes axis next
+    to last, as a slab is), ``left`` holds each point's left
     node j, xs[j] <= x < xs[j + 1] (clipped into the last segment), in the
     narrowest unsigned dtype.  ``held`` lists the points where np.interp
     returns a node value as is, and ``held_node`` that node: a point on a
@@ -151,7 +151,11 @@ class _Stencil:
     def __init__(self, xs: np.ndarray, x: np.ndarray):
         n = xs.size
         self.xs, self.x, self.gaps = xs, x.reshape(-1), np.diff(xs)
-        j = np.searchsorted(xs, self.x, side="right") - 1
+        # a slab's successors increase along its nodes axis, the next to last:
+        # searched in that order, each search starts from the last one's bound
+        keys = (x if x.ndim > 1 else x[:, None]).swapaxes(-1, -2)
+        j = np.searchsorted(xs, keys.reshape(-1), side="right").reshape(keys.shape)
+        j = j.swapaxes(-1, -2).reshape(-1) - 1
         node = np.clip(j, 0, n - 1)
         # NaN sorts past the last node, but np.interp returns it as NaN
         held = ((j < 0) | (j == n - 1) | (xs[node] == self.x)) & ~np.isnan(self.x)
@@ -298,9 +302,10 @@ def _backward_sweep(spec, grid, times, expect, p_steps, p_at, strategy_starts, *
     p at ``p_at[k]``: tabulated once in sweep order for a time-only p, so a
     range error names the t the sweep meets first, else read at the nodes.
     Strategy rows come from :func:`local_saddle` at each interval in
-    ``strategy_starts`` (ties to the lowest index), and every other interval
-    needs only :func:`local_values`.  ``mix`` writes the blend straight
-    into ``values[k]``.  Both solvers' weights are convex, so a
+    ``strategy_starts`` (ties to the lowest index), written straight into
+    the row tables, and every other interval needs only
+    :func:`local_values`.  ``mix`` writes the blend straight into
+    ``values[k]``.  Both solvers' weights are convex, so a
     slice outside the terminal bounds raises :class:`BlowupError`.  Returns
     the field, the rows (u_plain, u_counter, v_plain, v_counter) and the
     largest lower - upper seen, which is scanned for only with
@@ -330,9 +335,8 @@ def _backward_sweep(spec, grid, times, expect, p_steps, p_at, strategy_starts, *
         if r is None:
             lower, upper = local_values(f)
         else:
-            lower, upper, u_plain[r], uc, v_plain[r], vc = local_saddle(f)
-            u_counter[r] = uc.T
-            v_counter[r] = vc.T
+            rows_out = (u_plain[r], u_counter[r].T, v_plain[r], v_counter[r].T)
+            lower, upper = local_saddle(f, out=rows_out)[:2]
         # max(0.0, nan) is 0.0 and NaN is never greater, so the guard keeps the value
         if track_order and np.greater(lower, upper).any():
             worst = max(worst, float(np.max(lower - upper)))

@@ -131,18 +131,20 @@ def _fold(op, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _arg_fold(better, a: np.ndarray) -> np.ndarray:
-    """Index of the best entry along the leading axis of ``a``.
+def _arg_fold(better, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Index of the best entry along the leading axis of ``a``, in ``out`` if given.
 
     ``better`` is np.greater (argmax) or np.less (argmin).  The comparison
     is strict and runs in index order, so a tie keeps the lowest index, as
     argmax and argmin do.  Unlike them it never picks a NaN.
     """
     k = a.shape[0]
+    idx = np.empty(a.shape[1:], dtype=int) if out is None else out
     if k == 1:
-        return np.zeros(a.shape[1:], dtype=int)
+        idx.fill(0)
+        return idx
     # over the first two entries the comparison's 0/1 is the index
-    idx = np.array(better(a[1], a[0]), dtype=int)
+    better(a[1], a[0], out=idx)
     if k > 2:
         best = np.where(idx, a[1], a[0])
         for c in range(2, k):
@@ -162,7 +164,7 @@ def local_values(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, _fold(np.minimum, _fold(np.maximum, f))
 
 
-def local_saddle(f: np.ndarray) -> tuple[np.ndarray, ...]:
+def local_saddle(f: np.ndarray, out=None) -> tuple[np.ndarray, ...]:
     """Values and saddle strategies of a batch of games f[u, v, *batch].
 
     Returns ``(lower, upper, u_plain, u_counter, v_plain, v_counter)``:
@@ -170,13 +172,17 @@ def local_saddle(f: np.ndarray) -> tuple[np.ndarray, ...]:
     shape) and its counter map u_counter[v], the best row against column
     v (kv, *batch); v's best leading column and its counter map
     v_counter[u] (ku, *batch).  Ties break to the lowest index, as
-    argmax and argmin do.
+    argmax and argmin do.  ``out``, four integer arrays of those shapes
+    (views of a table's rows will do), receives the strategies, which are
+    then returned in their place.
     """
     row_floor = _fold(np.minimum, f.swapaxes(0, 1))  # min over v, (ku, *batch)
     col_ceil = _fold(np.maximum, f)  # max over u, (kv, *batch)
+    u_plain, u_counter, v_plain, v_counter = (None,) * 4 if out is None else out
     return (_fold(np.maximum, row_floor), _fold(np.minimum, col_ceil),
-            _arg_fold(np.greater, row_floor), _arg_fold(np.greater, f),
-            _arg_fold(np.less, col_ceil), _arg_fold(np.less, f.swapaxes(0, 1)))
+            _arg_fold(np.greater, row_floor, u_plain), _arg_fold(np.greater, f, u_counter),
+            _arg_fold(np.less, col_ceil, v_plain),
+            _arg_fold(np.less, f.swapaxes(0, 1), v_counter))
 
 
 @dataclass(frozen=True)

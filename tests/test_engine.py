@@ -72,6 +72,22 @@ def test_noise_increment_scaling():
     assert abs(float(np.mean(draws))) < 3e-4
 
 
+def test_noise_increments_are_the_generators_normal_bitwise():
+    # numpy draws normal(0, s) as 0.0 + s z; increments scale standard normals
+    # in place and add 0.0, which must be the same bits, call after call
+    src, rng = NoiseSource(11), np.random.default_rng(11)
+    draws = 0
+    for dt in (0.25, 1e-6, 0.5 / 1600):
+        for shape in ((7, 1), (10, 2), (1, 3)):
+            got = src.increments(*shape, dt)
+            want = rng.normal(0.0, np.sqrt(dt), size=shape)
+            draws += shape[0] * shape[1]
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert src.draws == draws
+
+
 def test_lattice_quadrature():
     prob = singleton_problem()
     part = make_uniform_partition(0.0, 0.5, 5)
@@ -840,6 +856,22 @@ def test_mix_hash_in_place_matches_oracle():
         assert acc.tobytes() == _oracle_mix_hash(lead, arrays[0]).tobytes()
 
 
+def test_remainder_is_the_uint64_modulo_bitwise():
+    rng = np.random.default_rng(seed)
+    edges = np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    acc = np.concatenate([edges, rng.integers(0, 2**64 - 1, 20_000, dtype=np.uint64,
+                                              endpoint=True)])
+    before = acc.copy()
+    out = np.empty_like(acc)
+    with np.errstate(all="raise"):
+        for n in (1, 2, 3, 4, 5, 7, 8, 255):
+            want = (acc % np.uint64(n)).astype(np.intp)
+            got = engine._remainder(acc, np.uint64(n), out)
+            assert got.dtype == np.intp and np.shares_memory(got, out)
+            assert got.tobytes() == want.tobytes()
+            assert acc.tobytes() == before.tobytes()
+
+
 def test_perturbed_strategy_tries_an_action_the_base_never_plays():
     grid = SpatialGrid(-6.0, 6.0, 31)
     part = make_uniform_partition(0.0, 0.5, 6)
@@ -1330,6 +1362,30 @@ def test_out_of_range_actions_raise_engine_error(coef):
         with pytest.raises(EngineError):
             exploitability(prob, part, "deterministic", side, bad, 3, 1, tables=tables,
                            marks=marks, paths=64, substeps=1)
+
+
+class _ConstantStrategy:
+    """Plays ``action`` as its plain move and as every counter reply."""
+
+    def __init__(self, grid, action):
+        self.grid = grid
+        self.action = action
+
+    def moves(self, k, nodes, prev):
+        return np.full_like(nodes, self.action), lambda opp: np.full_like(opp, self.action)
+
+
+@pytest.mark.parametrize("side", ["u", "v"])
+def test_a_negative_action_index_raises_the_sides_range_error(side):
+    # Markov tables reject negative entries when built, so only a duck-typed
+    # strategy reaches the range check with one: -1 wraps above the range
+    prob = bilinear_problem()
+    grid = SpatialGrid(-6.0, 6.0, 61)
+    part = make_uniform_partition(0.0, 0.5, 4)
+    bad, fine = _ConstantStrategy(grid, -1), _ConstantStrategy(grid, 0)
+    pair = (bad, fine) if side == "u" else (fine, bad)
+    with pytest.raises(EngineError, match=rf"^{side} played an action index outside \[0, 2\)$"):
+        simulate(prob, part, RandomMode(CoinSource(1)), *pair, 64, 2, NoiseSource(2))
 
 
 def test_counter_actions_reject_an_opponent_index_past_the_row():

@@ -57,6 +57,25 @@ def test_local_kernels_match_reductions_bitwise(ku, kv, batch):
         assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("ku, kv", [(1, 1), (2, 2), (3, 2), (2, 4)])
+def test_local_saddle_out_writes_the_strategies_into_table_rows_bitwise(ku, kv):
+    rng = np.random.default_rng(ku * 10 + kv)
+    f = _tied_actions((ku, kv, 97), rng)
+    want = local_saddle(f)
+    # rows of (rows, nodes) and (rows, nodes, opp) tables, as the backward sweep
+    # stores them: the counter maps land through transposed views
+    tables = (np.full((3, 97), -1), np.full((3, 97, kv), -1),
+              np.full((3, 97), -1), np.full((3, 97, ku), -1))
+    out = (tables[0][1], tables[1][1].T, tables[2][1], tables[3][1].T)
+    got = local_saddle(f, out=out)
+    for g, o in zip(got[2:], out):
+        assert g is o
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    for table in tables:
+        assert np.all(table[[0, 2]] == -1)
+
+
 def test_local_saddle_keeps_the_lowest_tied_index():
     rows = np.array([[0.0, -0.0, 0.0], [1.0, 2.0, 2.0], [3.0, 1.0, 3.0], [-1.0, -2.0, -2.0]])
     # as f[u, v] = rows.T, u's counter to column j is the argmax of rows[j]

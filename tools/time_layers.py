@@ -26,7 +26,12 @@ seconds of the call alone; with no layer named, all four run.
   logistic p(x) = 1/(1 + e^-x), which reads p at every path's state (no
   per-interval table), with the saddle strategies of the benchmark game;
   and exploitability for each frozen side, 16 challengers x 20k paths
-  with substeps = 4.  Each simulate row also gives the Gaussian noise
+  with substeps = 4; then each kind of roster lane alone, per frozen side:
+  the roster's Markov challengers (saddle, perturbed and random tables,
+  each resolved once per coin face and node) and its hash-feedback
+  challengers (resolved per path), built by engine._roster and played in
+  one engine._play pass on exploitability's seeds (coins seed * 7000,
+  noise seed * 9000), the pass alone timed.  Each simulate row also gives the Gaussian noise
   draws of one call and the md5 of its payoff bytes: equal digests in two
   checkouts mean bitwise-equal payoffs.  Each exploitability row also
   gives the peak resident set (VmHWM, Linux) of a fresh subprocess that
@@ -123,6 +128,29 @@ def exploit(spec, part, tables, side: str):
                                  tables=tables, paths=20_000, substeps=4)
 
 
+def roster_pairs(spec, part, tables, side: str, kind: str) -> list:
+    """The (strat_u, strat_v) pairs of exploitability's roster against ``side``'s frozen
+    saddle strategy, kept to the hash-feedback challengers or to the Markov ones."""
+    strategy = tables.strategy_u if side == "u" else tables.strategy_v
+    roster = engine._roster(spec, part, "v" if side == "u" else "u", 16, 1, tables)
+    challengers = [build() for label, build in roster
+                   if label.startswith("feedback_") == (kind == "feedback")]
+    return [(strategy, c) if side == "u" else (c, strategy) for c in challengers]
+
+
+def roster_lane_count(spec, part, tables, kind: str) -> int:
+    return len(roster_pairs(spec, part, tables, "u", kind))
+
+
+def roster_lanes(spec, part, tables, side: str, kind: str) -> float:
+    """CPU s of one engine._play pass of one kind of roster lane, on exploitability's seeds."""
+    pairs = roster_pairs(spec, part, tables, side, kind)
+    c0 = time.process_time()
+    engine._play(spec, part, engine.RandomMode(engine.CoinSource(7000)), pairs, 20_000, 4,
+                 engine.NoiseSource(9000), 0)
+    return time.process_time() - c0
+
+
 def roster_digest(report) -> str:
     """md5 of one exploitability report's (label, mean.hex(), std_error.hex()) rows."""
     rows = "".join(f"{r.label},{r.mean.hex()},{r.std_error.hex()}\n" for r in report.results)
@@ -197,6 +225,12 @@ def time_play(spec, repeats: int) -> None:
         setup, peak, draws = fresh_exploit_peak(side)
         print(f"{f'exploitability {side} 16x20k':26s} {cpu:8.3f} {setup:9.2f} {peak:8.2f} "
               f"{draws:12d} {roster_digest(reports[-1])}")
+    print(f"{'':26s} {'u CPU s':>8s} {'v CPU s':>8s}")
+    for kind in ("markov", "feedback"):
+        cpus = [np.median([roster_lanes(spec, part, tables, side, kind) for _ in range(repeats)])
+                for side in ("u", "v")]
+        count = roster_lane_count(spec, part, tables, kind)
+        print(f"{f'roster {kind} {count}x20k':26s} {cpus[0]:8.3f} {cpus[1]:8.3f}")
 
 
 _IMPORT_CLI = """
