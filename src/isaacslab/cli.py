@@ -342,18 +342,18 @@ def _cmd_simulate(cfg: Config, out: Path, prefix: str) -> list[str]:
     noise_seed, coin_seed = _seeds(cfg)
     part, _, tables, play = _dp_from_config(cfg, spec, coin_seed)
     paths = cfg.get_int("run.paths", 10000)
-    substeps = cfg.get_int("run.substeps", 4)
     record = cfg.get_int("run.record_paths", 0)
+    # one trail point per interval: the paths CSV reads no sub-step, and no payoff does
     result = engine.simulate(
         spec, part, play, tables.strategy_u, tables.strategy_v,
-        paths, substeps, engine.NoiseSource(noise_seed), record=record,
+        paths, 1, engine.NoiseSource(noise_seed), record=record,
     )
     dp_at_start = tables.value_at_start(spec.start_state[0])
     name = f"{prefix}_simulate.csv"
     write_csv(
         out / name,
-        ["mode", "paths", "substeps", "mean", "std_error", "dp_value_at_start", "gap"],
-        [[tables.mode, paths, substeps, result.mean, result.std_error,
+        ["mode", "paths", "mean", "std_error", "dp_value_at_start", "gap"],
+        [[tables.mode, paths, result.mean, result.std_error,
           dp_at_start, result.mean - dp_at_start]],
     )
     outputs = [name]
@@ -403,7 +403,6 @@ def run_converge(cfg: Config) -> list[dict]:
     x0 = spec.start_state[0]
     noise_seed, coin_seed = _seeds(cfg)
     paths = cfg.get_int("run.paths", 10000)
-    substeps = cfg.get_int("run.substeps", 4)
     if spec.horizon == spec.start_time:
         g0 = float(spec.payoff_values(np.array([[x0]]))[0])
         return [
@@ -438,7 +437,7 @@ def run_converge(cfg: Config) -> list[dict]:
             gap = float(np.max(np.abs(tables.value.initial_slice[in_window] - ref0[in_window])))
             sim = engine.simulate(
                 spec, part, play, tables.strategy_u, tables.strategy_v,
-                paths, substeps, engine.NoiseSource(noise_seed + level_idx),
+                paths, 1, engine.NoiseSource(noise_seed + level_idx),
             )
             results.append(
                 {

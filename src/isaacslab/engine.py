@@ -15,7 +15,8 @@ The successors are fixed per distinct step, so each slab's interpolation
 stencil is found once, when the lattice is built: every successor's left
 node, in the narrowest unsigned dtype, and the successors that read a node
 value as is.  An interval then searches nothing: it gathers numpy's own
-interpolation formula from the stencil, bitwise ``np.interp``.
+interpolation formula from the stencil (``_Stencil``, here beside the
+lattice), bitwise ``np.interp`` on the finite slices the sweep passes.
 
 Each interval is a batch of one-period matrix games on the continuation
 values, one per node, valued by the backward sweep that the PDE march runs
@@ -64,7 +65,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .pde import SpatialGrid, ValueField, _backward_sweep, _Stencil, coefficient_table
+from .pde import SpatialGrid, ValueField, _backward_sweep, coefficient_table
 from .problem import ProblemError, ProblemSpec
 from .schedule import MarkSequence, Partition, ScheduleError, SubGrid
 
@@ -130,9 +131,8 @@ class NoiseSource(_SeededStream):
 
     Draw order is fixed (one (paths, noise_dim) block per interval, the
     increment of its one move), so two runs with equal seeds and equal
-    shapes see identical noise.  A block is bitwise the generator's
-    ``normal(0, sqrt(dt), size)``, formed with one temporary: standard
-    normals scaled in place.  ``draws`` counts that stream alone.
+    shapes see identical noise.  A block is the generator's
+    ``normal(0, sqrt(dt), size)``.  ``draws`` counts that stream alone.
     ``bridge`` splits increments for an audit trail with a second
     generator derived from the seed, so recording paths never shifts the
     main stream.
@@ -144,12 +144,7 @@ class NoiseSource(_SeededStream):
 
     def increments(self, paths: int, noise_dim: int, dt: float) -> np.ndarray:
         self.draws += paths * noise_dim
-        # numpy forms normal(0, s) as 0.0 + s z per draw; scaling the standard
-        # normals in place and adding 0.0 (a -0.0 becomes +0.0) is those bits
-        dW = self._rng.standard_normal((paths, noise_dim))
-        dW *= np.sqrt(dt)
-        dW += 0.0
-        return dW
+        return self._rng.normal(0.0, np.sqrt(dt), size=(paths, noise_dim))
 
     def bridge(self, dW: np.ndarray, substeps: int, dt: float) -> np.ndarray:
         """Brownian-bridge split of increments dW ~ N(0, dt) into ``substeps`` parts.
@@ -179,6 +174,61 @@ class CoinSource(_SeededStream):
 
 
 # --- lattice -------------------------------------------------------------------
+
+
+class _Stencil:
+    """Linear interpolation of node values at fixed points, bitwise ``np.interp``, searched once.
+
+    For nodes ``xs`` and points ``x`` (laid out with the nodes axis next
+    to last, as a slab is), ``left`` holds each point's left
+    node j, xs[j] <= x < xs[j + 1] (clipped into the last segment), in the
+    narrowest unsigned dtype.  ``held`` lists the points where np.interp
+    returns a node value as is, and ``held_node`` that node: a point on a
+    node, on or past the last node, before the first, or at +-inf.  A call
+    on finite node values V evaluates numpy's own formula slope[j] (x -
+    xs[j]) + V[j], slope[j] = (V[j+1] - V[j]) / (xs[j+1] - xs[j]), at every
+    other point, NaN included, by gathers, then writes the held values, so
+    it returns np.interp(x, xs, V) with its default edge values bit for bit.
+    np.interp retries a NaN formula from the right node, which finite V
+    never needs: a slope can then only overflow to +-inf, and every point
+    not held has x - xs[j] > 0.  The lattice passes the terminal payoff or
+    a slice the sweep held inside its finite bounds.  The offsets x - xs[j]
+    are recomputed on every call, which keeps the stored stencil to integers.
+    """
+
+    def __init__(self, xs: np.ndarray, x: np.ndarray):
+        n = xs.size
+        self.xs, self.x, self.gaps = xs, x.reshape(-1), np.diff(xs)
+        # a slab's successors increase along its nodes axis, the next to last:
+        # searched in that order, each search starts from the last one's bound
+        keys = (x if x.ndim > 1 else x[:, None]).swapaxes(-1, -2)
+        j = np.searchsorted(xs, keys.reshape(-1), side="right").reshape(keys.shape)
+        j = j.swapaxes(-1, -2).reshape(-1) - 1
+        node = np.clip(j, 0, n - 1)
+        # NaN sorts past the last node, but np.interp returns it as NaN
+        held = ((j < 0) | (j == n - 1) | (xs[node] == self.x)) & ~np.isnan(self.x)
+        self.left = np.clip(j, 0, n - 2).astype(np.min_scalar_type(n - 2))
+        self.held = np.flatnonzero(held).astype(np.min_scalar_type(self.x.size))
+        self.held_node = node[held].astype(np.min_scalar_type(n - 1))
+        self.shape = x.shape
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """np.interp(x, xs, values) in the shape of ``x``, for finite ``values``."""
+        xs, x = self.xs, self.x
+        j = self.left.astype(np.intp)
+        # a slope may overflow to +-inf, which times a held point's zero offset
+        # is NaN until the held values overwrite it
+        with np.errstate(invalid="ignore", over="ignore"):
+            slope = np.diff(values)
+            slope /= self.gaps
+            out = np.take(xs, j, mode="clip")
+            np.subtract(x, out, out=out)
+            work = np.take(slope, j, mode="clip")
+            out *= work
+            np.take(values, j, out=work, mode="clip")
+            out += work
+        out[self.held] = values[self.held_node]
+        return out.reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -836,8 +886,7 @@ def _play(
     node count share that interval's coin-face offset heads * nodes.
     Each side's range check is one max over the uint64 view of its
     actions, where a negative index wraps above the range.
-    Other strategies may read ``prev`` and are resolved per path.  With
-    one noise column sigma is gathered from a 1-D column.  Each move
+    Other strategies may read ``prev`` and are resolved per path.  Each move
     updates the states in place, as x *= a (skipped when a = 1), x += c b0
     and then x += s sigma dW, so a state-free family moves bitwise by
     x + b h + sigma dW.  The audit trail splits the block by the noise
@@ -878,9 +927,6 @@ def _play(
     b_tab, sig_tab = spec.coefficient_table(float(partition.times[0]), np.zeros((1, spec.dim)))
     b_pairs = b_tab.reshape(ku * kv)
     sig_pairs = sig_tab.reshape(ku * kv, d_prime)
-    if d_prime == 1:
-        # one noise column: gather sigma from a 1-D column, not by rows
-        sig_pairs = sig_pairs[:, 0].copy()
     lanes = range(len(pairs))
     # a Markov pair's key axis, as the (nodes, prev, heads) its lane resolves
     # on; None for a lane resolved per path
@@ -950,7 +996,7 @@ def _play(
             if d_prime == 1:
                 # np.sum adds from the identity 0.0, which turns a -0.0
                 # product into +0.0; the column plus 0.0 keeps those bits
-                np.multiply(sig, dW[:, 0], out=sdw)
+                np.multiply(sig[:, 0], dW[:, 0], out=sdw)
                 sdw += 0.0
             else:
                 np.sum(sig * dW, axis=1, out=sdw)
@@ -966,8 +1012,7 @@ def _play(
                 if coins is not None:
                     trail.coins[k] = coins[:record]
                 trail.second[k] = heads[:record]
-                trail.bridge(k, parts, a, cb[:record], sig[:record].reshape(record, d_prime),
-                             x[:record])
+                trail.bridge(k, parts, a, cb[:record], sig[:record], x[:record])
             del cb, sig  # this lane's frozen coefficients go before the next lane's
 
     results = []

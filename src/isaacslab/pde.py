@@ -41,8 +41,6 @@ slice and checks it against the terminal bounds.  The one-sided modes and a time
 are tabulated over the step times once per sweep, as the paper's rules for
 a state-independent p can be set in advance, so the blend takes one float
 per step; a state-dependent priority is evaluated on the nodes at every step.
-The lattice's interpolation stencils live here too (``_Stencil``, bitwise
-``np.interp``), as does the field's own lookup.
 
 State dimension is one; higher-dimensional problems are accepted by the
 algebraic modules but not by this solver.
@@ -115,9 +113,6 @@ class SpatialGrid:
         xs.flags.writeable = False
         return xs
 
-    def clamp(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
-
     def nearest_index(self, x: np.ndarray) -> np.ndarray:
         """Index of the closest node, clamped to the grid.
 
@@ -129,65 +124,6 @@ class SpatialGrid:
         np.rint(idx, out=idx)
         np.clip(idx, 0.0, self.nodes - 1, out=idx)
         return idx.astype(int)
-
-
-class _Stencil:
-    """Linear interpolation of node values at fixed points, bitwise ``np.interp``, searched once.
-
-    For nodes ``xs`` and points ``x`` (laid out with the nodes axis next
-    to last, as a slab is), ``left`` holds each point's left
-    node j, xs[j] <= x < xs[j + 1] (clipped into the last segment), in the
-    narrowest unsigned dtype.  ``held`` lists the points where np.interp
-    returns a node value as is, and ``held_node`` that node: a point on a
-    node, on or past the last node, before the first, or at +-inf.  A call
-    on node values V evaluates numpy's own formula slope[j] (x - xs[j]) +
-    V[j], slope[j] = (V[j+1] - V[j]) / (xs[j+1] - xs[j]), at every other
-    point, NaN included, by gathers, then writes the held values, so it
-    returns np.interp(x, xs, V) with its default edge values bit for bit.
-    The offsets x - xs[j] are recomputed on every call, which keeps the
-    stored stencil to integers.
-    """
-
-    def __init__(self, xs: np.ndarray, x: np.ndarray):
-        n = xs.size
-        self.xs, self.x, self.gaps = xs, x.reshape(-1), np.diff(xs)
-        # a slab's successors increase along its nodes axis, the next to last:
-        # searched in that order, each search starts from the last one's bound
-        keys = (x if x.ndim > 1 else x[:, None]).swapaxes(-1, -2)
-        j = np.searchsorted(xs, keys.reshape(-1), side="right").reshape(keys.shape)
-        j = j.swapaxes(-1, -2).reshape(-1) - 1
-        node = np.clip(j, 0, n - 1)
-        # NaN sorts past the last node, but np.interp returns it as NaN
-        held = ((j < 0) | (j == n - 1) | (xs[node] == self.x)) & ~np.isnan(self.x)
-        self.left = np.clip(j, 0, n - 2).astype(np.min_scalar_type(n - 2))
-        self.held = np.flatnonzero(held).astype(np.min_scalar_type(self.x.size))
-        self.held_node = node[held].astype(np.min_scalar_type(n - 1))
-        self.shape = x.shape
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        """np.interp(x, xs, values) in the shape of ``x``, as silent as np.interp on non-finite input."""
-        xs, x = self.xs, self.x
-        j = self.left.astype(np.intp)
-        with np.errstate(invalid="ignore", over="ignore"):
-            slope = np.diff(values)
-            slope /= self.gaps
-            out = np.take(xs, j, mode="clip")
-            np.subtract(x, out, out=out)
-            work = np.take(slope, j, mode="clip")
-            out *= work
-            np.take(values, j, out=work, mode="clip")
-            out += work
-            if not np.isfinite(slope).all():
-                # a non-finite value can make the formula NaN, which np.interp
-                # retries from the right node, then settles at V[j] if V[j] == V[j+1]
-                redo = np.flatnonzero(np.isnan(out) & ~np.isnan(x))
-                jr = j[redo]
-                again = slope[jr] * (x[redo] - xs[jr + 1]) + values[jr + 1]
-                flat = np.isnan(again) & (values[jr] == values[jr + 1])
-                again[flat] = values[jr[flat]]
-                out[redo] = again
-        out[self.held] = values[self.held_node]
-        return out.reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -242,18 +178,18 @@ class ValueField:
         return self.values[k]
 
     def value_at(self, t: float, x: float) -> float:
-        """Bilinear interpolation in (t, x), clamped to the grid in x."""
+        """Bilinear interpolation in (t, x); past either edge in x, the edge value."""
         times = self.times
         if not times[0] - 1e-12 <= t <= times[-1] + 1e-12:
             raise PdeError(f"time {t} outside [{times[0]}, {times[-1]}]")
         t = min(max(t, float(times[0])), float(times[-1]))
         k = int(np.searchsorted(times, t, side="right") - 1)
         k = min(max(k, 0), times.size - 2) if times.size > 1 else 0
-        at = _Stencil(self.grid.xs, self.grid.clamp(np.array([x], dtype=float)))
-        lo = float(at(self.values[k])[0])
+        xs = self.grid.xs
+        lo = float(np.interp(x, xs, self.values[k]))
         if times.size == 1:
             return lo
-        hi = float(at(self.values[k + 1])[0])
+        hi = float(np.interp(x, xs, self.values[k + 1]))
         w = (t - float(times[k])) / float(times[k + 1] - times[k])
         return (1.0 - w) * lo + w * hi
 

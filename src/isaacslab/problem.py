@@ -348,8 +348,6 @@ class _ClippedQuadraticPayoff:
 
     @staticmethod
     def value(params, d, X):
-        if params[0] < 0:
-            raise ProblemError("clipped_quadratic cap must be non-negative")
         return np.minimum(np.sum(X * X, axis=-1), params[0])
 
     @staticmethod
@@ -403,6 +401,8 @@ class PayoffSpec:
         )
         object.__setattr__(self, "params", tuple(arr))
         object.__setattr__(self, "dim", int(self.dim))
+        if self.family == "clipped_quadratic" and arr[0] < 0:
+            raise ProblemError(f"clipped_quadratic cap must be non-negative, got {arr[0]}")
 
     def value(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -484,6 +484,18 @@ def test_cli_pde_zero_horizon(tmp_path):
     assert (tmp_path / "pde_pde_manifest.txt").exists()
 
 
+def test_cli_negative_payoff_cap_exits_2(tmp_path, capsys):
+    text = BILINEAR_CFG.replace(
+        "problem.payoff.family = cosine\nproblem.payoff.params = 1.0, 1.0",
+        "problem.payoff.family = clipped_quadratic\nproblem.payoff.params = -1.0",
+    )
+    assert "clipped_quadratic" in text
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["pde", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "cap must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "pde_pde_manifest.txt").exists()
+
+
 def test_cli_simulate_negative_seed_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BILINEAR_CFG + "discretization.partition.n = 4\nrun.paths = 10\n")
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path), "--seed", "-5"]) == 2

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from helpers import SQRT2, bilinear_problem, ou_problem, ou_value, singleton_problem
 from isaacslab import pde
+from isaacslab.engine import _Stencil
 from isaacslab.pde import BlowupError, CflError, PdeError, SpatialGrid, ValueField
 from isaacslab.problem import (
     ActionSet,
@@ -29,7 +31,6 @@ def test_grid_basics():
     assert np.array_equal(grid.xs, np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
     idx = grid.nearest_index(np.array([-0.9, 0.24, 2.0]))
     assert idx.tolist() == [0, 2, 4]
-    assert np.array_equal(grid.clamp(np.array([-3.0, 0.1, 7.0])), [-1.0, 0.1, 1.0])
 
 
 def test_grid_nodes_are_built_once_and_read_only():
@@ -108,9 +109,10 @@ def test_value_field_lookup():
     np.full(9, -0.0),
     np.array([-0.0, 1.0, -0.0, -2.0, 0.0, -0.0, 3.0, -0.0, -0.0]),
     np.random.default_rng(5).normal(size=9),
-    # non-finite values send np.interp to its retry from the right node
-    np.array([0.0, 1.0, np.inf, 2.0, -np.inf, -np.inf, np.nan, 1.0, 1.0]),
-], ids=["negative_zeros", "signed_zeros", "normal", "non_finite"])
+    # finite values whose slopes overflow to +-inf: the formula is +-inf off
+    # the nodes and NaN on them until the held values overwrite it
+    np.array([1e308, -1e308] * 4 + [1e308]),
+], ids=["negative_zeros", "signed_zeros", "normal", "overflowing_slopes"])
 def test_stencil_is_np_interp_bitwise_at_every_edge_case(values):
     # on a node (the first and last included), between nodes, past either
     # edge, at +-inf and at NaN; a held node value keeps -0.0, which
@@ -121,14 +123,37 @@ def test_stencil_is_np_interp_bitwise_at_every_edge_case(values):
         [-1.5, 1.5, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), -np.inf, np.inf, np.nan],
     ])
     x = np.random.default_rng(6).permutation(x).reshape(3, 9)
-    stencil = pde._Stencil(xs, x)
+    stencil = _Stencil(xs, x)
     assert stencil.left.dtype == np.uint8
     want = np.interp(x.ravel(), xs, values).reshape(x.shape)
-    got = stencil(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = stencil(values)
+        # one stencil serves any slice on the same points
+        flipped = stencil(-values)
     assert got.shape == x.shape
     assert got.tobytes() == want.tobytes()
-    # one stencil serves any slice on the same points
-    assert stencil(-values).tobytes() == np.interp(x.ravel(), xs, -values).tobytes()
+    assert flipped.tobytes() == np.interp(x.ravel(), xs, -values).tobytes()
+
+
+def test_value_at_is_the_time_blend_of_np_interp_bitwise():
+    grid = SpatialGrid(-1.0, 1.0, 9)
+    xs = grid.xs
+    times = np.array([0.0, 0.3, 1.0])
+    values = np.random.default_rng(7).normal(size=(3, 9))
+    values[0, [0, 4]] = -0.0
+    values[1, [4, 8]] = 0.0
+    values[2, [2, 4]] = -0.0
+    field = ValueField(grid, times, values)
+    # on nodes (signed zeros among their values), between nodes, past both
+    # edges and at +-inf
+    points = [*xs, -0.0, *(xs[:-1] + xs[1:]) / 2, -1.5, 1.5, -np.inf, np.inf]
+    for t in (0.0, 0.1, 0.3, 0.65, 1.0):
+        k = min(int(np.searchsorted(times, t, side="right")) - 1, times.size - 2)
+        w = (t - times[k]) / (times[k + 1] - times[k])
+        for x in points:
+            want = (1.0 - w) * np.interp(x, xs, values[k]) + w * np.interp(x, xs, values[k + 1])
+            assert np.float64(field.value_at(t, x)).tobytes() == np.float64(want).tobytes()
 
 
 def test_cfl_pure_diffusion():

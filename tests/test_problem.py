@@ -192,6 +192,13 @@ def test_payoff_families():
     assert np.all(const.value(np.zeros((5, 1))) == 0.7)
 
 
+def test_clipped_quadratic_negative_cap_raises_at_construction():
+    with pytest.raises(ProblemError, match="cap must be non-negative, got -1.0"):
+        PayoffSpec("clipped_quadratic", (-1.0,), dim=1)
+    # a zero cap is a valid, constant payoff
+    assert PayoffSpec("clipped_quadratic", (0.0,), dim=1).value(np.array([[2.0]]))[0] == 0.0
+
+
 def test_constant_priority_range_checked():
     with pytest.raises(ProblemError):
         PrioritySpec("constant", (1.7,), dim=1)

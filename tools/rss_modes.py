@@ -1,6 +1,6 @@
 """peak_rss_mb of one benchmark workload under both glibc heap modes.
 
-Usage: python3 tools/rss_modes.py WORKLOAD SEED [SEED ...]
+Usage: python3 tools/rss_modes.py WORKLOAD SEED [SEED ...] [--parent DIR]
 
 glibc raises its mmap threshold dynamically after large frees, so the
 same program can read two peak resident sets that differ by a few MB,
@@ -14,8 +14,15 @@ threshold, which turns the dynamic one off).  It prints peak_rss_mb for
 every (path length, seed) cell in both modes.  S is the run_seconds of
 BENCHMARK.json.  The runs are sequential, so they never compete for
 memory or CPU with each other.
+
+With --parent DIR, DIR (another checkout, say of the parent commit) is
+copied the same way into directories with the same three path lengths,
+and each cell runs DIR's copy and this checkout's back to back in each
+mode, alternating per cell which goes first.  Each row then shows both
+sides' default and fixed-threshold MB next to each other.
 """
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -46,19 +53,41 @@ def main(argv: list[str]) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("workload")
     ap.add_argument("seeds", type=int, nargs="+")
+    ap.add_argument("--parent", type=Path, help="a second checkout to run beside this one")
     args = ap.parse_args(argv)
+    sources = {"change": ROOT}
+    if args.parent is not None:
+        if not (args.parent / "bench" / "run.py").is_file():
+            raise SystemExit(f"--parent {args.parent} has no bench/run.py")
+        sources = {"parent": args.parent.resolve(), "change": ROOT}
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    print(f"{'path chars':>10} {'seed':>5} {'default MB':>11} {'fixed MB':>9}")
-    with tempfile.TemporaryDirectory() as tmp:
+    modes = (("default", {}), ("fixed", FIXED))
+    # columns: each mode's MB, the sides next to each other within a mode
+    columns = [(side, mode) for mode, _ in modes for side in sources]
+    heads = [f"{mode} MB" if len(sources) == 1 else f"{side} {mode}" for side, mode in columns]
+    print(f"{'path chars':>10} {'seed':>5} " + " ".join(f"{h:>14}" for h in heads))
+    cell = 0
+    with contextlib.ExitStack() as stack:
+        # one temporary directory per side: their names have one length
+        tmps = {side: Path(stack.enter_context(tempfile.TemporaryDirectory()))
+                for side in sources}
         for name in NAMES:
-            checkout = Path(tmp) / name
-            shutil.copytree(ROOT, checkout, ignore=shutil.ignore_patterns(
-                ".git", ".bench_work", "__pycache__", ".pytest_cache"))
+            checkouts = {}
+            for side, source in sources.items():
+                checkouts[side] = tmps[side] / name
+                shutil.copytree(source, checkouts[side], ignore=shutil.ignore_patterns(
+                    ".git", ".bench_work", "__pycache__", ".pytest_cache"))
+            # both sides' copies have one path length, or this unpacking fails
+            (chars,) = {len(str(path)) for path in checkouts.values()}
             for seed in args.seeds:
-                default = peak_rss_mb(checkout, args.workload, seed, seconds, {})
-                fixed = peak_rss_mb(checkout, args.workload, seed, seconds, FIXED)
-                print(f"{len(str(checkout)):>10} {seed:>5} {default:>11.2f} {fixed:>9.2f}",
-                      flush=True)
+                # back to back within each mode, the first side alternating per cell
+                order = list(sources)[::-1] if cell % 2 else list(sources)
+                cell += 1
+                mb = {(side, mode): peak_rss_mb(checkouts[side], args.workload, seed,
+                                                seconds, extra)
+                      for mode, extra in modes for side in order}
+                print(f"{chars:>10} {seed:>5} "
+                      + " ".join(f"{mb[col]:>14.2f}" for col in columns), flush=True)
 
 
 if __name__ == "__main__":
